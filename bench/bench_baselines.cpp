@@ -14,9 +14,8 @@
 #include "../bench/common.h"
 #include "os/behaviors.h"
 #include "os/kernel.h"
-#include "sched/lottery_policy.h"
-#include "sched/stride_policy.h"
-#include "sched/wrr_policy.h"
+#include "os/policies/lottery.h"
+#include "os/policies/stride.h"
 #include "sim/engine.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -30,13 +29,15 @@ namespace {
 
 /// Runs an in-kernel policy on a CPU-bound workload; returns the mean RMS
 /// relative error over consecutive windows of one ALPS-cycle length.
-/// `window_divisor` shrinks the observation window below one rotation /
-/// cycle, exposing short-horizon burstiness.
+/// `window_divisor` shrinks the observation window below one cycle,
+/// exposing short-horizon burstiness.
 template <typename Policy>
 double run_in_kernel(const std::vector<util::Share>& shares, util::Duration quantum,
                      int windows, int window_divisor = 1) {
     sim::Engine engine;
-    auto policy = std::make_unique<Policy>(quantum);
+    typename Policy::Config cfg;
+    cfg.quantum = quantum;
+    auto policy = std::make_unique<Policy>(cfg);
     Policy* pol = policy.get();
     os::Kernel kernel(engine, std::move(policy));
 
@@ -44,7 +45,7 @@ double run_in_kernel(const std::vector<util::Share>& shares, util::Duration quan
     for (std::size_t i = 0; i < shares.size(); ++i) {
         const os::Pid pid =
             kernel.spawn("w" + std::to_string(i), 0, std::make_unique<os::CpuBoundBehavior>());
-        pol->set_tickets(pid, shares[i]);
+        pol->set_tickets(kernel.proc(pid), static_cast<double>(shares[i]));
         pids.push_back(pid);
     }
 
@@ -83,8 +84,7 @@ int main() {
     const int windows = bench::measure_cycles();
 
     util::TextTable t({"Workload", "ALPS err %", "ALPS ovh %", "Stride err %",
-                       "WRR err %", "Lottery err %", "Stride 1/4-wnd %",
-                       "WRR 1/4-wnd %"});
+                       "Lottery err %", "Stride 1/4-wnd %"});
     for (const ShareModel model : workload::kAllModels) {
         for (const int n : {5, 10, 20}) {
             const auto shares = workload::make_shares(model, n);
@@ -96,31 +96,25 @@ int main() {
             const auto alps_res = workload::run_cpu_bound_experiment(cfg);
 
             const double stride_err =
-                run_in_kernel<sched::StridePolicy>(shares, q, windows);
-            const double wrr_err = run_in_kernel<sched::WrrPolicy>(shares, q, windows);
+                run_in_kernel<os::policies::StridePolicy>(shares, q, windows);
             const double lottery_err =
-                run_in_kernel<sched::LotteryPolicy>(shares, q, windows);
-            // Quarter-cycle horizon: burstiness shows here.
+                run_in_kernel<os::policies::LotteryPolicy>(shares, q, windows);
+            // Quarter-cycle horizon: what is left is quantization (a small
+            // share cannot get a fraction of a quantum within the window).
             const double stride_short =
-                run_in_kernel<sched::StridePolicy>(shares, q, 4 * windows, 4);
-            const double wrr_short =
-                run_in_kernel<sched::WrrPolicy>(shares, q, 4 * windows, 4);
+                run_in_kernel<os::policies::StridePolicy>(shares, q, 4 * windows, 4);
 
             t.add_row({std::string(workload::to_string(model)) + std::to_string(n),
                        util::fmt(100.0 * alps_res.mean_rms_error, 2),
                        util::fmt(100.0 * alps_res.overhead_fraction, 3),
                        util::fmt(100.0 * stride_err, 2),
-                       util::fmt(100.0 * wrr_err, 2),
                        util::fmt(100.0 * lottery_err, 2),
-                       util::fmt(100.0 * stride_short, 2),
-                       util::fmt(100.0 * wrr_short, 2)});
+                       util::fmt(100.0 * stride_short, 2)});
         }
     }
     t.print(std::cout);
-    std::cout << "\nExpected shape: stride near-exact and smooth; WRR exact "
-                 "over rotations but bursty within them (error grows with the "
-                 "share spread); lottery noisy (statistical); ALPS close to "
-                 "stride without kernel support, paying <1% sampling "
-                 "overhead.\n";
+    std::cout << "\nExpected shape: stride near-exact and smooth; lottery noisy "
+                 "(statistical); ALPS close to stride without kernel support, "
+                 "paying <1% sampling overhead.\n";
     return 0;
 }

@@ -20,7 +20,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
 #include "telemetry/trace_file.h"
-#include "util/assert.h"
 
 namespace alps::harness {
 
@@ -113,7 +112,13 @@ SweepReport run_sweep(const Experiment& experiment, const SweepOptions& raw_opti
     }
 
     std::vector<Task> tasks = experiment.make_tasks(options);
-    ALPS_EXPECT(!tasks.empty());
+    if (tasks.empty()) {
+        // Only a narrowing flag (--sites, --ncpus, --kernel-policy, ...) can
+        // leave an experiment without tasks: bad input, not a broken grid.
+        throw std::runtime_error("no " + experiment.name +
+                                 " task matches the narrowing flags (check the "
+                                 "values against its grid, and --full)");
+    }
 
     // The slots this sweep actually covers, as *original* sweep indices —
     // --only-task keeps its task's index and therefore its derived seed, so

@@ -16,16 +16,19 @@
 namespace alps::harness {
 
 /// Runs one experiment under `options`. Progress/ETA goes to `progress`
-/// (pass nullptr or set options.quiet to silence it).
+/// (pass nullptr or set options.quiet to silence it). Setup errors (a bad
+/// --only-task, an unusable journal, narrowing flags that match no task)
+/// throw std::runtime_error.
 [[nodiscard]] SweepReport run_sweep(const Experiment& experiment,
                                     const SweepOptions& options,
                                     std::ostream* progress);
 
-/// Shared driver for the thin standalone bench binaries and alps-sweep:
-/// runs `name` from the registry with `options`, prints the experiment's
-/// paper-style presentation and evaluation to stdout, and writes the JSON
-/// report when options.out_dir is set. Returns the process exit code
-/// (0 = success; 1 = failed criteria or task errors; 2 = unknown experiment).
+/// alps-sweep's driver: runs `name` from the registry with `options`,
+/// prints the experiment's paper-style presentation and evaluation to
+/// stdout, and writes the JSON report when options.out_dir is set. Returns
+/// the process exit code (0 = success; 1 = failed criteria or task errors;
+/// 2 = unknown experiment, or setup error such as narrowing flags that
+/// match no task).
 int run_and_report(std::string_view name, const SweepOptions& options);
 
 /// Builds SweepOptions from the environment (ALPS_BENCH_FULL=1 -> full scale,

@@ -360,6 +360,21 @@ TEST(Scheduler, TickOnEmptySchedulerIsHarmless) {
     EXPECT_EQ(sched.tick_count(), 5u);
 }
 
+TEST(Scheduler, EmptySchedulerTicksReportNoWork) {
+    // Every tick of an entity-less scheduler is still counted, and reports
+    // no measurement, no transition and no cycle.
+    MockControl mc;
+    Scheduler sched(mc, config());
+    for (int i = 0; i < 2; ++i) {
+        const TickStats st = sched.tick();
+        EXPECT_EQ(st.measured + st.suspended + st.resumed, 0);
+        EXPECT_FALSE(st.cycle_completed);
+    }
+    EXPECT_EQ(sched.tick_count(), 2u);
+    EXPECT_TRUE(sched.ids().empty());
+    EXPECT_EQ(sched.cycle_time_remaining(), Duration::zero());
+}
+
 TEST(Scheduler, ContractViolations) {
     MockControl mc;
     mc.ensure(1);
@@ -393,6 +408,52 @@ TEST(Scheduler, TickStatsCountOperations) {
     EXPECT_EQ(second.measured, 2);
     EXPECT_TRUE(second.cycle_completed);
     EXPECT_EQ(second.suspended, 1);
+}
+
+TEST(Scheduler, TickStatsRecordMeasurementsAndTransitions) {
+    // Per tick: who was measured, suspended and resumed, and the allowances
+    // and eligibility the tick leaves behind.
+    MockControl mc;
+    mc.ensure(1);
+    mc.ensure(2);
+    Scheduler sched(mc, config());
+    sched.add(1, 1);
+    sched.add(2, 1);
+    const TickStats first = sched.tick();
+    EXPECT_EQ(first.resumed, 2);
+    EXPECT_EQ(first.measured, 0);  // ineligible entities cannot have run
+    EXPECT_TRUE(sched.eligible(1) && sched.eligible(2));
+
+    mc.entities[1].cpu += kQ * 2;  // overruns the whole cycle
+    const TickStats second = sched.tick();
+    EXPECT_EQ(second.measured, 2);
+    EXPECT_EQ(second.suspended, 1);
+    EXPECT_EQ(second.resumed, 0);
+    EXPECT_TRUE(second.cycle_completed);
+    EXPECT_FALSE(sched.eligible(1));
+    EXPECT_TRUE(sched.eligible(2));
+    EXPECT_NEAR(sched.allowance(1), 0.0, 1e-9);  // 1 - 2 + 1
+    EXPECT_NEAR(sched.allowance(2), 2.0, 1e-9);  // 1 - 0 + 1
+}
+
+TEST(Scheduler, AllowanceConservationHoldsEveryTick) {
+    // The header's invariant, checked after each tick: sum(allowance)*Q == t_c.
+    MockControl mc;
+    for (EntityId id = 1; id <= 3; ++id) mc.ensure(id);
+    Scheduler sched(mc, config());
+    sched.add(1, 1);
+    sched.add(2, 2);
+    sched.add(3, 3);
+    for (int i = 0; i < 200; ++i) {
+        if (i > 0) mc.run_kernel_quantum(kQ);
+        sched.tick();
+        double sum = 0.0;
+        for (const EntityId id : sched.ids()) sum += sched.allowance(id);
+        EXPECT_NEAR(sum * static_cast<double>(kQ.count()),
+                    static_cast<double>(sched.cycle_time_remaining().count()),
+                    1e-3 * static_cast<double>(kQ.count()));
+    }
+    EXPECT_GT(sched.cycles_completed(), 0u);
 }
 
 TEST(Scheduler, MeasurementCountsAccumulate) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "harness/registry.h"
@@ -282,6 +283,36 @@ TEST(Sweep, RunSectionCarriesJobsAndWallClock) {
     EXPECT_NE(with_run.find("\"wall_clock_s\""), std::string::npos);
     const std::string without = report_to_json(report, false).dump(0);
     EXPECT_EQ(without.find("\"run\""), std::string::npos);
+}
+
+TEST(Sweep, EmptyNarrowingFilterIsASetupErrorNotAnAbort) {
+    // A task builder that narrows on --ncpus, like many_core's.
+    Experiment e;
+    e.name = "narrowed";
+    e.make_tasks = [](const SweepOptions& options) {
+        std::vector<Task> tasks;
+        for (const int ncpus : {16, 64}) {
+            if (options.ncpus != 0 && ncpus != options.ncpus) continue;
+            Task t;
+            t.point = "ncpus" + std::to_string(ncpus);
+            t.fn = [](const TaskContext&) { return Result{}.metric("ok", 1.0); };
+            tasks.push_back(std::move(t));
+        }
+        return tasks;
+    };
+    if (ExperimentRegistry::instance().find(e.name) == nullptr) {
+        ExperimentRegistry::instance().add(e);
+    }
+    SweepOptions options;
+    options.quiet = true;
+    options.ncpus = 7;
+    EXPECT_THROW((void)run_sweep(e, options, nullptr), std::runtime_error);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_and_report(e.name, options), 2);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find("narrowing"),
+              std::string::npos);
+    options.ncpus = 64;
+    EXPECT_EQ(run_and_report(e.name, options), 0);
 }
 
 // -------------------------------------------------------------------- registry

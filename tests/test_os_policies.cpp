@@ -1,9 +1,11 @@
 // The kernel policy zoo: lottery, stride, and CFS-vruntime as pluggable
 // SchedPolicy implementations, the name->policy factory, and the Kernel's
 // loud rejection of unknown policy names.
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "os/policies/stride.h"
 #include "os/policies/weight.h"
 #include "sim/engine.h"
+#include "util/assert.h"
 
 namespace alps::os {
 namespace {
@@ -104,6 +107,30 @@ TEST(LotteryPolicy, CpuProportionalToTickets) {
     EXPECT_NEAR(fa, 0.75, 0.06);
 }
 
+TEST(LotteryPolicy, ProportionalInExpectation) {
+    Machine<LotteryPolicy> m({.quantum = msec(10)});
+    const Pid a = m.hog("a");
+    const Pid b = m.hog("b");
+    m.pol->set_tickets(m.kernel.proc(a), 1.0);
+    m.pol->set_tickets(m.kernel.proc(b), 3.0);
+    m.run_for(sec(40));  // 4000 draws: sigma of a's fraction ~ 0.7 %
+    EXPECT_NEAR(m.cpu(a) / 40.0, 0.25, 0.03);
+    EXPECT_NEAR(m.cpu(b) / 40.0, 0.75, 0.03);
+}
+
+TEST(LotteryPolicy, SeededRunsAreReproducible) {
+    const auto run = [] {
+        Machine<LotteryPolicy> m({.quantum = msec(10)});
+        const Pid a = m.hog("a");
+        const Pid b = m.hog("b");
+        m.pol->set_tickets(m.kernel.proc(a), 1.0);
+        m.pol->set_tickets(m.kernel.proc(b), 2.0);
+        m.run_for(sec(3));
+        return m.kernel.cpu_time(a);
+    };
+    EXPECT_EQ(run(), run());
+}
+
 TEST(LotteryPolicy, DefaultGrantFollowsNice) {
     // add() grants nice_to_weight(nice) base tickets, so entitlement
     // semantics match stride and CFS without explicit ticket surgery.
@@ -183,6 +210,30 @@ TEST(LotteryPolicy, SameSeedRunsAreBitIdentical) {
     EXPECT_NE(first, run(43));
 }
 
+TEST(LotteryPolicy, HigherVarianceThanStride) {
+    // One 1:1 workload under both policies, split into 1 s windows: lottery's
+    // draws scatter each window around 0.5 s apiece, while stride's pass
+    // order splits every window exactly.
+    const auto windowed_error = [](auto& m) {
+        const Pid a = m.hog("a");
+        m.hog("b");
+        double sum_sq = 0.0;
+        double prev = 0.0;
+        for (int w = 0; w < 30; ++w) {
+            m.run_for(sec(1));
+            const double got = m.cpu(a) - prev;
+            prev = m.cpu(a);
+            sum_sq += (got - 0.5) * (got - 0.5);
+        }
+        return sum_sq / 30.0;
+    };
+    Machine<LotteryPolicy> lottery;
+    Machine<StridePolicy> stride;
+    const double v_stride = windowed_error(stride);
+    EXPECT_NEAR(v_stride, 0.0, 1e-12);
+    EXPECT_GT(windowed_error(lottery), v_stride);
+}
+
 // ----- stride --------------------------------------------------------------
 
 TEST(StridePolicy, CpuProportionalToTickets) {
@@ -196,6 +247,53 @@ TEST(StridePolicy, CpuProportionalToTickets) {
     EXPECT_NEAR(fa, 0.75, 0.02);
 }
 
+TEST(StridePolicy, ProportionalForUnequalTickets) {
+    Machine<StridePolicy> m({.quantum = msec(10)});
+    const Pid a = m.hog("a");
+    const Pid b = m.hog("b");
+    const Pid c = m.hog("c");
+    m.pol->set_tickets(m.kernel.proc(a), 1.0);
+    m.pol->set_tickets(m.kernel.proc(b), 2.0);
+    m.pol->set_tickets(m.kernel.proc(c), 3.0);
+    m.run_for(sec(12));
+    EXPECT_NEAR(m.cpu(a) / 12.0, 1.0 / 6.0, 0.01);
+    EXPECT_NEAR(m.cpu(b) / 12.0, 2.0 / 6.0, 0.01);
+    EXPECT_NEAR(m.cpu(c) / 12.0, 3.0 / 6.0, 0.01);
+}
+
+TEST(StridePolicy, DeterministicAndExactOverShortWindows) {
+    Machine<StridePolicy> m({.quantum = msec(10)});
+    const Pid a = m.hog("a");
+    const Pid b = m.hog("b");
+    m.run_for(sec(1));
+    // Equal tickets: within one quantum of each other at any instant.
+    const auto diff = (m.kernel.cpu_time(a) - m.kernel.cpu_time(b)).count();
+    EXPECT_LE(std::abs(diff), msec(10).count());
+}
+
+TEST(StridePolicy, SkewedTicketsStayProportional) {
+    // Table 2's skewed shape (1,1,1,1,21): the big holder must not crowd the
+    // small ones below their 1/25.
+    Machine<StridePolicy> m({.quantum = msec(10)});
+    std::vector<Pid> small;
+    for (int i = 0; i < 4; ++i) {
+        small.push_back(m.hog("small"));
+        m.pol->set_tickets(m.kernel.proc(small.back()), 1.0);
+    }
+    const Pid big = m.hog("big");
+    m.pol->set_tickets(m.kernel.proc(big), 21.0);
+    m.run_for(sec(25));
+    EXPECT_NEAR(m.cpu(big) / 25.0, 21.0 / 25.0, 0.01);
+    for (const Pid p : small) EXPECT_NEAR(m.cpu(p) / 25.0, 1.0 / 25.0, 0.005);
+}
+
+TEST(StridePolicy, TicketContracts) {
+    Machine<StridePolicy> m;
+    const Pid a = m.hog("a");
+    EXPECT_THROW(m.pol->set_tickets(m.kernel.proc(a), 0.0), util::ContractViolation);
+    EXPECT_THROW(m.pol->set_tickets(m.kernel.proc(a), -5.0), util::ContractViolation);
+}
+
 TEST(StridePolicy, LateJoinerOwesNoBackCredit) {
     // B joins 5 s in with equal tickets. The remain/global-pass mechanism
     // must give it a fair share from its join onward — not half of history.
@@ -207,6 +305,17 @@ TEST(StridePolicy, LateJoinerOwesNoBackCredit) {
     EXPECT_NEAR(m.cpu(a), 10.0, 0.3);  // 5 alone + 5 of the shared 10
     EXPECT_NEAR(m.cpu(b), 5.0, 0.3);
     EXPECT_NEAR(m.cpu(a) + m.cpu(b), 15.0, 1e-6);
+}
+
+TEST(StridePolicy, LateArrivalJoinsAtCurrentVirtualTime) {
+    Machine<StridePolicy> m({.quantum = msec(10)});
+    const Pid a = m.hog("a");
+    m.run_for(sec(5));
+    const Pid b = m.hog("b");
+    m.run_for(sec(4));
+    // b must not catch up on the 5 s it missed: it gets ~half of the last 4 s.
+    EXPECT_NEAR(m.cpu(b), 2.0, 0.1);
+    EXPECT_NEAR(m.cpu(a), 7.0, 0.1);
 }
 
 TEST(StridePolicy, TransferShiftsTheRatio) {
@@ -233,7 +342,7 @@ TEST(StridePolicy, SleeperNeitherBanksNorForfeits) {
     KernelConfig kcfg;
     kcfg.policy = "stride";
     Kernel kernel(engine, nullptr, kcfg);
-    const Pid a = kernel.spawn("a", 0, std::make_unique<CpuBoundBehavior>());
+    kernel.spawn("a", 0, std::make_unique<CpuBoundBehavior>());
     const Pid b = kernel.spawn("b", 0, std::make_unique<CpuBoundBehavior>());
     engine.run_until(engine.now() + sec(2));
     kernel.send_signal(b, Signal::kStop);  // b leaves the competition
@@ -244,6 +353,19 @@ TEST(StridePolicy, SleeperNeitherBanksNorForfeits) {
     // After resuming, b gets its proportional half of the remaining time —
     // about 2 of the last 4 s — rather than catching up on the 6 s it slept.
     EXPECT_NEAR(to_sec(kernel.cpu_time(b) - b_at_resume), 2.0, 0.3);
+}
+
+TEST(StridePolicy, SleeperGetsNoBankedCredit) {
+    Machine<StridePolicy> m({.quantum = msec(10)});
+    const Pid hog = m.hog("hog");
+    const Pid io = m.kernel.spawn(
+        "io", 0, std::make_unique<PhasedIoBehavior>(msec(10), msec(190)));
+    m.pol->set_tickets(m.kernel.proc(hog), 1.0);
+    m.pol->set_tickets(m.kernel.proc(io), 1.0);
+    m.run_for(sec(10));
+    // The sleeper demands only 5% of the CPU; the hog gets the rest (not 50%).
+    EXPECT_GT(m.cpu(hog), 9.0);
+    EXPECT_NEAR(m.cpu(io), 0.5, 0.1);
 }
 
 // ----- CFS -----------------------------------------------------------------
@@ -274,7 +396,7 @@ TEST(CfsPolicy, LateJoinerStartsAtMinVruntime) {
     // min-vruntime normalization: a process spawned after 10 s of history
     // must not monopolize the CPU to "catch up" to the incumbents' vruntime.
     Machine<CfsPolicy> m;
-    const Pid a = m.hog("a");
+    m.hog("a");
     m.run_for(sec(10));
     const Pid b = m.hog("b");
     m.run_for(sec(4));
