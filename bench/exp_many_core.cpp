@@ -72,12 +72,9 @@ harness::Result run_point(const harness::TaskContext& ctx, int ncpus, bool per_c
         .metric("timed_out", r.timed_out ? 1.0 : 0.0);
 }
 
-std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {
+std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
     std::vector<harness::Task> tasks;
     for (const int ncpus : kNcpusGrid) {
-        // --ncpus narrows the sweep to one machine size (the TSan smoke leg
-        // runs just the 64-core column).
-        if (options.ncpus != 0 && ncpus != options.ncpus) continue;
         for (const bool per_core : {false, true}) {
             harness::Task task;
             task.point = point_name(ncpus, per_core);

@@ -137,11 +137,6 @@ harness::Result run_point(const harness::TaskContext& ctx, std::string_view poli
 std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {
     std::vector<harness::Task> tasks;
     for (const std::string& policy : all_rows()) {
-        // --kernel-policy narrows the zoo to one row (including the
-        // stride-engine A/B, addressable by that name).
-        if (!options.kernel_policy.empty() && policy != options.kernel_policy) {
-            continue;
-        }
         for (const ShareModel model : kModels) {
             for (const int n : kProcCounts) {
                 for (int rep = 0; rep < repetitions(options.full_scale); ++rep) {

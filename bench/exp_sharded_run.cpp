@@ -10,8 +10,8 @@
 // like every non-sim_perf report.
 //
 // Point naming: "<policy>/s<shards>" for serial, "<policy>/s<shards>t" for
-// threaded. --shards narrows to one shard count (both modes); --kernel-policy
-// narrows to one policy.
+// threaded. The runner narrows on the `shards` and `policy` params
+// (--shards, --kernel-policy).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -93,18 +93,11 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {
     std::vector<harness::Task> tasks;
     for (const auto& info : os::policies::known_policies()) {
         const std::string policy(info.name);
-        if (!options.kernel_policy.empty() && policy != options.kernel_policy) {
-            continue;
-        }
         // Seed per policy row, derived from the sweep seed so --seed still
         // varies the whole experiment coherently.
         const std::uint64_t policy_seed =
             options.seed * 0x9e3779b97f4a7c15ULL + std::hash<std::string>{}(policy);
         for (const Variant& v : all_variants()) {
-            if (options.shards > 0 &&
-                v.shards != static_cast<unsigned>(options.shards)) {
-                continue;
-            }
             harness::Task task;
             task.point = point_name(policy, v);
             task.rep = 0;

@@ -308,7 +308,7 @@ harness::Result web_arrivals_task(bool full) {
 // Sharded-engine churn: per shard, a bank of self-rearming hot timers (the
 // kernel's decision-timer pattern on the devirtualized dispatch path) plus a
 // trickle of cross-shard posts at every epoch boundary, run in lockstep at
-// 1/2/8 shards in both modes. scripts/check.sh gates the serial-multiplexed
+// 1/2/4/8 shards in both modes. scripts/check.sh gates the serial-multiplexed
 // aggregate at 8 shards (sharded_mux_events_per_sec): it exercises the full
 // lockstep protocol — barrier degeneration, channel drain, boundary
 // bookkeeping — yet is single-threaded, so it is stable on any host core
@@ -326,7 +326,7 @@ void shard_churn_fire(void* ctx, std::uint64_t arg) {
                            c->kind, arg + 1);
 }
 
-harness::Result sharded_engine_task(bool full, int only_shards) {
+harness::Result sharded_engine_task(bool full) {
     constexpr unsigned kTimers = 64;       ///< self-rearming timers per shard
     constexpr unsigned kPostsPerEpoch = 2; ///< cross-shard trickle per boundary
     // ~142k events per shard-epoch (64 timers at a 4.5 µs mean period over a
@@ -335,9 +335,6 @@ harness::Result sharded_engine_task(bool full, int only_shards) {
 
     harness::Result res;
     for (const unsigned shards : {1u, 2u, 4u, 8u}) {
-        if (only_shards > 0 && shards != static_cast<unsigned>(only_shards)) {
-            continue;
-        }
         for (const bool threaded : {false, true}) {
             if (threaded && shards == 1) continue;
             sim::ShardedEngine::Config cfg;
@@ -426,9 +423,7 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {
     push("policy", [](bool full) { return policy_task(full); });
     push("kernel_scan", [](bool full) { return kernel_scan_task(full); });
     push("web_arrivals", [](bool full) { return web_arrivals_task(full); });
-    push("sharded_engine", [shards = options.shards](bool full) {
-        return sharded_engine_task(full, shards);
-    });
+    push("sharded_engine", [](bool full) { return sharded_engine_task(full); });
     push("e2e_n40", [](bool full) { return e2e_task(40, full); });
     push("e2e_n120", [](bool full) { return e2e_task(120, full); });
     return tasks;
@@ -461,10 +456,8 @@ void present(const harness::SweepReport& report, std::ostream& out) {
     for (const char* tag : {"s1", "s2", "s2_threaded", "s4", "s4_threaded",
                             "s8", "s8_threaded"}) {
         const std::string metric = std::string("sharded_") + tag + "_events_per_sec";
-        const double v = report.metric_mean("sharded_engine", metric);
-        if (v == 0.0) continue;  // narrowed by --shards
         t.add_row({"sharded_engine", std::string(tag) + " events/sec",
-                   util::fmt(v, 0)});
+                   util::fmt(report.metric_mean("sharded_engine", metric), 0)});
     }
     t.add_row({"e2e_n40", "wall ms/run",
                util::fmt(report.metric_mean("e2e_n40", "wall_ms"), 2)});

@@ -125,12 +125,7 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {
     std::vector<harness::Task> tasks;
     for (const Machine& m : kMachines) {
         if (m.full_only && !options.full_scale) continue;
-        // --ncpus / --sites narrow the sweep to one machine (the smoke leg
-        // runs just the cell).
-        if (options.ncpus != 0 && m.ncpus != options.ncpus) continue;
-        if (options.sites != 0 && m.sites != options.sites) continue;
         for (const double flash : kFlashGrid) {
-            if (options.flash_crowd >= 0.0 && flash != options.flash_crowd) continue;
             // The flagship already answers the headline question; the mild
             // contrast only adds signal at cell scale.
             if (m.full_only && flash != 8.0) continue;

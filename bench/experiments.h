@@ -35,17 +35,15 @@ void register_sim_perf_experiment();
 void register_policy_zoo_experiment();
 
 /// One-global vs one-per-core ALPS on a 16/64/256-core machine with per-CPU
-/// run queues ("many_core"). Honors --ncpus to run a single machine size.
+/// run queues ("many_core").
 void register_many_core_experiment();
 
 /// Open-loop hosting under a flash crowd: share-protected latency
 /// percentiles across kernel/global/per-core deployments ("web_scale").
-/// Honors --ncpus, --sites, and --flash-crowd to narrow the grid.
 void register_web_scale_experiment();
 
 /// Sharded-engine determinism gate: the 8-group machine bit-identical at
 /// 1/2/8 shards, serial and threaded, per kernel policy ("sharded_run").
-/// Honors --shards and --kernel-policy to narrow the grid.
 void register_sharded_run_experiment();
 
 /// Registers everything above exactly once (safe to call repeatedly).

@@ -234,6 +234,9 @@ fi
 #      JSON still byte-identical.
 #   4. CLI robustness: an unknown --kernel-policy fails with exit 2 and the
 #      valid-policy list, not a crash mid-sweep.
+#   5. Narrowed resume: a many_core --ncpus 16 journal resumed with
+#      --ncpus 64 must report the 64-core points, byte-identical to a clean
+#      --ncpus 64 run (narrowed tasks keep their full-grid journal slots).
 # Reuses the Release perf tree; ALPS_CHAOS_SKIP=1 skips the leg.
 if [[ "${ALPS_CHAOS_SKIP:-0}" != "1" ]]; then
   cmake -B build-perf -S . \
@@ -302,6 +305,16 @@ PY
   grep -Eq "journal: (discarded|.* is unreadable)" "$CHAOS/flip.stderr"
   cmp "$CHAOS/clean/BENCH_chaos_campaign.json" \
       "$CHAOS/resumed/BENCH_chaos_campaign.json"
+
+  echo "--- chaos: a journal resumed under a different --ncpus reports the new points"
+  "$SWEEP" --experiment many_core --ncpus 64 --quiet --json-payload-only \
+    --out "$CHAOS/ncpus_clean" > /dev/null
+  "$SWEEP" --experiment many_core --ncpus 16 --quiet --journal \
+    --json-payload-only --out "$CHAOS/ncpus_resumed" > /dev/null
+  "$SWEEP" --experiment many_core --ncpus 64 --quiet --resume \
+    --json-payload-only --out "$CHAOS/ncpus_resumed" > /dev/null
+  cmp "$CHAOS/ncpus_clean/BENCH_many_core.json" \
+      "$CHAOS/ncpus_resumed/BENCH_many_core.json"
 
   echo "--- chaos: unknown kernel policy fails cleanly with the valid list"
   if "$SWEEP" --experiment fig4 --kernel-policy nosuchpolicy --quiet --no-json \

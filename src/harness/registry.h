@@ -13,6 +13,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "harness/result.h"
@@ -30,25 +31,18 @@ struct SweepOptions {
     /// Tracing forces jobs = 1 so two same-seed runs produce byte-identical
     /// traces (`alps-trace diff` reports zero differences).
     std::string trace_path;
-    /// Kernel scheduling policy for experiments that honor it (fig4,
-    /// policy_zoo); "" keeps each experiment's own default. Validated by the
-    /// kernel policy factory at task run time (alps-sweep pre-checks it
-    /// against --list-policies for a friendlier error).
+    /// Kernel scheduling policy for experiments that run one (fig4); "" keeps
+    /// each experiment's own default. --kernel-policy also adds a `policy`
+    /// filter below, which narrows the grids that sweep policies
+    /// (policy_zoo, sharded_run) to that row.
     std::string kernel_policy;
-    /// Simulated core count for experiments that sweep machine sizes
-    /// (many_core, web_scale): restricts the grid to this one size. 0 = the
-    /// full grid.
-    int ncpus = 0;
-    /// Site count for experiments that sweep hosting scale (web_scale):
-    /// restricts the grid to this one cluster size. 0 = the full grid.
-    int sites = 0;
-    /// Shard count for experiments that sweep the sharded engine
-    /// (sharded_run, sim_perf's sharded point): restricts the grid to this
-    /// one shard count. 0 = the full grid.
-    int shards = 0;
-    /// Flash-crowd intensity override for web_scale: restricts the grid to
-    /// points with this arrival multiplier. < 0 = the full grid.
-    double flash_crowd = -1.0;
+    /// Narrowing filters: (param, value) pairs from --ncpus, --sites,
+    /// --shards, --flash-crowd and --kernel-policy. The runner always builds
+    /// the full grid and keeps only the tasks whose params match every
+    /// filter, at their original indices (so seeds, journal slots and repro
+    /// indices equal the full sweep's). A filter whose param no task carries
+    /// does not apply; values compare as numbers when both parse as one.
+    std::vector<std::pair<std::string, std::string>> filters;
     // ---- supervision (harness::RunSupervisor) --------------------------
     /// Fork one worker process per task execution so crashes and hangs are
     /// classified per task instead of killing the sweep.
@@ -73,7 +67,8 @@ struct SweepOptions {
 struct Experiment {
     std::string name;         ///< CLI key and JSON file stem ("fig4")
     std::string description;  ///< one line for --list
-    /// Builds the task list for this run's options (full_scale may change it).
+    /// Builds the full task grid for this run's options (full_scale may
+    /// change it). Narrowing is the runner's job, never the builder's.
     std::function<std::vector<Task>(const SweepOptions&)> make_tasks;
     /// Optional: prints the paper-style tables from the finished sweep.
     std::function<void(const SweepReport&, std::ostream&)> present;

@@ -1,5 +1,6 @@
 #include "harness/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -10,9 +11,12 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 
 #include "harness/journal.h"
 #include "harness/supervisor.h"
@@ -75,6 +79,93 @@ private:
     std::size_t done_ = 0;
 };
 
+/// Narrowing flags and the task param each one filters on.
+constexpr std::pair<std::string_view, std::string_view> kNarrowingFlags[] = {
+    {"--ncpus", "ncpus"},
+    {"--sites", "sites"},
+    {"--shards", "shards"},
+    {"--flash-crowd", "flash_multiplier"},
+    {"--kernel-policy", "policy"},
+};
+
+const std::string* param_of(const Task& task, const std::string& key) {
+    for (const auto& [k, v] : task.params) {
+        if (k == key) return &v;
+    }
+    return nullptr;
+}
+
+/// Numeric when both sides parse as numbers ("8.0" selects "8"), textual
+/// otherwise.
+bool param_matches(const std::string& have, const std::string& want) {
+    const auto number = [](const std::string& s, double& out) {
+        char* end = nullptr;
+        out = std::strtod(s.c_str(), &end);
+        return end != s.c_str() && *end == '\0';
+    };
+    double a = 0.0;
+    double b = 0.0;
+    if (number(have, a) && number(want, b)) return a == b;
+    return have == want;
+}
+
+std::vector<std::size_t> all_indices(std::size_t n) {
+    std::vector<std::size_t> indices(n);
+    std::iota(indices.begin(), indices.end(), std::size_t{0});
+    return indices;
+}
+
+/// Distinct values of `key` among `tasks[indices]`, in grid order, joined.
+std::string values_of(const std::vector<Task>& tasks,
+                      const std::vector<std::size_t>& indices, const std::string& key) {
+    std::vector<std::string> values;
+    for (const std::size_t i : indices) {
+        const std::string* v = param_of(tasks[i], key);
+        if (v != nullptr && std::find(values.begin(), values.end(), *v) == values.end()) {
+            values.push_back(*v);
+        }
+    }
+    std::string joined;
+    for (const std::string& v : values) joined += (joined.empty() ? "" : ", ") + v;
+    return joined;
+}
+
+/// The original indices of the tasks whose params match every applicable
+/// filter, in grid order. A filter that matches nothing is bad input: throws
+/// std::runtime_error naming the values the grid does have.
+std::vector<std::size_t> narrow(const Experiment& experiment,
+                                const SweepOptions& options,
+                                const std::vector<Task>& tasks) {
+    std::vector<std::size_t> kept = all_indices(tasks.size());
+    for (const auto& [key, want] : options.filters) {
+        const bool applies = std::any_of(tasks.begin(), tasks.end(), [&](const Task& t) {
+            return param_of(t, key) != nullptr;
+        });
+        if (!applies) continue;  // e.g. --sites on many_core
+        std::vector<std::size_t> matched;
+        for (const std::size_t i : kept) {
+            const std::string* have = param_of(tasks[i], key);
+            if (have != nullptr && param_matches(*have, want)) matched.push_back(i);
+        }
+        if (matched.empty()) {
+            std::string msg = "no " + experiment.name + " task has " + key + "=" + want +
+                              "; values: " + values_of(tasks, kept, key);
+            if (!options.full_scale) {
+                SweepOptions full = options;
+                full.full_scale = true;
+                const std::vector<Task> full_tasks = experiment.make_tasks(full);
+                if (values_of(full_tasks, all_indices(full_tasks.size()), key) !=
+                    values_of(tasks, all_indices(tasks.size()), key)) {
+                    msg += " (more with --full)";
+                }
+            }
+            throw std::runtime_error(msg);
+        }
+        kept = std::move(matched);
+    }
+    return kept;
+}
+
 }  // namespace
 
 std::string current_git_sha() {
@@ -111,29 +202,23 @@ SweepReport run_sweep(const Experiment& experiment, const SweepOptions& raw_opti
         options.resume = false;
     }
 
-    std::vector<Task> tasks = experiment.make_tasks(options);
-    if (tasks.empty()) {
-        // Only a narrowing flag (--sites, --ncpus, --kernel-policy, ...) can
-        // leave an experiment without tasks: bad input, not a broken grid.
-        throw std::runtime_error("no " + experiment.name +
-                                 " task matches the narrowing flags (check the "
-                                 "values against its grid, and --full)");
-    }
+    const std::vector<Task> tasks = experiment.make_tasks(options);
 
-    // The slots this sweep actually covers, as *original* sweep indices —
-    // --only-task keeps its task's index and therefore its derived seed, so
-    // a repro run replays the exact same pure function.
-    std::vector<std::size_t> selected;
+    // The slots this sweep actually covers, as *original* sweep indices:
+    // narrowing and --only-task both keep each task's index and therefore
+    // its derived seed and journal slot, so a narrowed or repro run replays
+    // exactly the full sweep's pure function for that point.
+    std::vector<std::size_t> selected = narrow(experiment, options, tasks);
     if (options.only_task >= 0) {
-        if (static_cast<std::size_t>(options.only_task) >= tasks.size()) {
-            throw std::runtime_error("--only-task " + std::to_string(options.only_task) +
-                                     " out of range (sweep has " +
-                                     std::to_string(tasks.size()) + " tasks)");
+        const auto only = static_cast<std::size_t>(options.only_task);
+        if (!std::binary_search(selected.begin(), selected.end(), only)) {
+            throw std::runtime_error("--only-task " + std::to_string(only) +
+                                     " is not in this sweep (" +
+                                     std::to_string(tasks.size()) + " tasks, " +
+                                     std::to_string(selected.size()) +
+                                     " after narrowing)");
         }
-        selected.push_back(static_cast<std::size_t>(options.only_task));
-    } else {
-        selected.resize(tasks.size());
-        for (std::size_t i = 0; i < tasks.size(); ++i) selected[i] = i;
+        selected = {only};
     }
 
     SweepReport report;
@@ -317,7 +402,17 @@ bool parse_sweep_args(int argc, char** argv, SweepOptions& options) {
             }
             return true;
         };
-        if (arg == "--jobs") {
+        const auto* narrowing =
+            std::find_if(std::begin(kNarrowingFlags), std::end(kNarrowingFlags),
+                         [&](const auto& flag) { return flag.first == arg; });
+        if (narrowing != std::end(kNarrowingFlags)) {
+            const char* v = next();
+            if (v == nullptr) return usage();
+            const std::string key(narrowing->second);
+            std::erase_if(options.filters, [&](const auto& f) { return f.first == key; });
+            options.filters.emplace_back(key, v);
+            if (arg == "--kernel-policy") options.kernel_policy = v;
+        } else if (arg == "--jobs") {
             const char* v = next();
             std::uint64_t n = 0;
             if (v == nullptr || !parse_u64(v, n)) return usage();
@@ -339,34 +434,6 @@ bool parse_sweep_args(int argc, char** argv, SweepOptions& options) {
             const char* v = next();
             if (v == nullptr) return usage();
             options.trace_path = v;
-        } else if (arg == "--kernel-policy") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            options.kernel_policy = v;
-        } else if (arg == "--ncpus") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n) || n == 0) return usage();
-            options.ncpus = static_cast<int>(n);
-        } else if (arg == "--sites") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n) || n == 0) return usage();
-            options.sites = static_cast<int>(n);
-        } else if (arg == "--shards") {
-            const char* v = next();
-            std::uint64_t n = 0;
-            if (v == nullptr || !parse_u64(v, n) || n == 0) return usage();
-            options.shards = static_cast<int>(n);
-        } else if (arg == "--flash-crowd") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            char* end = nullptr;
-            options.flash_crowd = std::strtod(v, &end);
-            if (end == v || *end != '\0' || options.flash_crowd < 0.0) {
-                std::cerr << arg << ": not a non-negative number: " << v << "\n";
-                return usage();
-            }
         } else if (arg == "--isolate") {
             options.isolate = true;
         } else if (arg == "--run-timeout") {

@@ -15,10 +15,11 @@
 
 namespace alps::harness {
 
-/// Runs one experiment under `options`. Progress/ETA goes to `progress`
-/// (pass nullptr or set options.quiet to silence it). Setup errors (a bad
-/// --only-task, an unusable journal, narrowing flags that match no task)
-/// throw std::runtime_error.
+/// Runs one experiment under `options`. Builds the full grid, then keeps the
+/// tasks matching every options.filters entry at their original indices.
+/// Progress/ETA goes to `progress` (pass nullptr or set options.quiet to
+/// silence it). Setup errors (a bad --only-task, an unusable journal, a
+/// narrowing filter that matches no task) throw std::runtime_error.
 [[nodiscard]] SweepReport run_sweep(const Experiment& experiment,
                                     const SweepOptions& options,
                                     std::ostream* progress);
@@ -34,7 +35,10 @@ int run_and_report(std::string_view name, const SweepOptions& options);
 /// Builds SweepOptions from the environment (ALPS_BENCH_FULL=1 -> full scale,
 /// ALPS_BENCH_JOBS -> jobs, ALPS_BENCH_JSON -> out_dir, default ".") and then
 /// applies any of --jobs N, --seed S, --full, --out DIR, --quiet, --no-json
-/// from argv. Returns false (and prints usage to stderr) on a bad flag.
+/// from argv. The narrowing flags (--ncpus, --sites, --shards, --flash-crowd,
+/// --kernel-policy) each add one options.filters entry on their task param
+/// (a repeated flag replaces its entry). Returns false (and prints usage to
+/// stderr) on a bad flag.
 bool parse_sweep_args(int argc, char** argv, SweepOptions& options);
 
 /// Short git commit hash of the working tree, or "unknown" outside a repo.

@@ -8,7 +8,10 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "harness/registry.h"
 #include "harness/result.h"
@@ -285,34 +288,90 @@ TEST(Sweep, RunSectionCarriesJobsAndWallClock) {
     EXPECT_EQ(without.find("\"run\""), std::string::npos);
 }
 
-TEST(Sweep, EmptyNarrowingFilterIsASetupErrorNotAnAbort) {
-    // A task builder that narrows on --ncpus, like many_core's.
+/// Two machine sizes x two modes, each task echoing its grid index and seed.
+Experiment narrowable_experiment() {
     Experiment e;
     e.name = "narrowed";
-    e.make_tasks = [](const SweepOptions& options) {
+    e.make_tasks = [](const SweepOptions&) {
         std::vector<Task> tasks;
         for (const int ncpus : {16, 64}) {
-            if (options.ncpus != 0 && ncpus != options.ncpus) continue;
-            Task t;
-            t.point = "ncpus" + std::to_string(ncpus);
-            t.fn = [](const TaskContext&) { return Result{}.metric("ok", 1.0); };
-            tasks.push_back(std::move(t));
+            for (const char* mode : {"global", "percore"}) {
+                Task t;
+                t.point = "ncpus" + std::to_string(ncpus) + "/" + mode;
+                t.params = {{"ncpus", std::to_string(ncpus)}, {"mode", mode}};
+                t.fn = [](const TaskContext& ctx) {
+                    return Result{}
+                        .metric("index", static_cast<double>(ctx.index))
+                        .metric("seed_lo", static_cast<double>(ctx.seed & 0xffffffffULL));
+                };
+                tasks.push_back(std::move(t));
+            }
         }
         return tasks;
     };
+    return e;
+}
+
+TEST(Sweep, EmptyNarrowingFilterIsASetupErrorNotAnAbort) {
+    const Experiment e = narrowable_experiment();
     if (ExperimentRegistry::instance().find(e.name) == nullptr) {
         ExperimentRegistry::instance().add(e);
     }
     SweepOptions options;
     options.quiet = true;
-    options.ncpus = 7;
+    options.filters = {{"ncpus", "7"}};
     EXPECT_THROW((void)run_sweep(e, options, nullptr), std::runtime_error);
     ::testing::internal::CaptureStderr();
     EXPECT_EQ(run_and_report(e.name, options), 2);
-    EXPECT_NE(::testing::internal::GetCapturedStderr().find("narrowing"),
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "no narrowed task has ncpus=7; values: 16, 64"),
               std::string::npos);
-    options.ncpus = 64;
+    options.filters = {{"ncpus", "64"}};
     EXPECT_EQ(run_and_report(e.name, options), 0);
+}
+
+TEST(Sweep, NarrowedTasksKeepTheirGridIndexAndSeed) {
+    SweepOptions options;
+    options.quiet = true;
+    options.seed = 77;
+    const SweepReport full = run_sweep(narrowable_experiment(), options, nullptr);
+    // "64.0" compares as a number; "sites" is carried by no task, so it
+    // does not apply.
+    options.filters = {{"ncpus", "64.0"}, {"sites", "1000"}};
+    const SweepReport narrowed = run_sweep(narrowable_experiment(), options, nullptr);
+    ASSERT_EQ(narrowed.tasks.size(), 2u);
+    for (std::size_t i = 0; i < narrowed.tasks.size(); ++i) {
+        const TaskOutcome& t = narrowed.tasks[i];
+        const TaskOutcome& same = full.tasks[2 + i];
+        EXPECT_EQ(t.point, same.point);
+        EXPECT_EQ(t.result.value_of("index"), 2.0 + static_cast<double>(i));
+        EXPECT_EQ(t.result.value_of("seed_lo"), same.result.value_of("seed_lo"));
+    }
+    // --only-task indexes the full grid and must lie inside the selection.
+    options.only_task = 3;
+    const SweepReport single = run_sweep(narrowable_experiment(), options, nullptr);
+    ASSERT_EQ(single.tasks.size(), 1u);
+    EXPECT_EQ(single.tasks[0].point, "ncpus64/percore");
+    options.only_task = 1;
+    EXPECT_THROW((void)run_sweep(narrowable_experiment(), options, nullptr),
+                 std::runtime_error);
+}
+
+TEST(SweepArgs, NarrowingFlagsBecomeParamFilters) {
+    std::vector<std::string> args{"alps-sweep",   "--ncpus",         "64",
+                                  "--sites",      "96",              "--shards",
+                                  "8",            "--flash-crowd",   "2",
+                                  "--kernel-policy", "lottery",      "--ncpus",
+                                  "16"};
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    SweepOptions options;
+    ASSERT_TRUE(parse_sweep_args(static_cast<int>(argv.size()), argv.data(), options));
+    const std::vector<std::pair<std::string, std::string>> expected{
+        {"sites", "96"},  {"shards", "8"},   {"flash_multiplier", "2"},
+        {"policy", "lottery"}, {"ncpus", "16"}};  // a repeated flag replaces
+    EXPECT_EQ(options.filters, expected);
+    EXPECT_EQ(options.kernel_policy, "lottery");
 }
 
 // -------------------------------------------------------------------- registry

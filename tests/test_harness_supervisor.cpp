@@ -592,6 +592,59 @@ TEST(SupervisorIsolated, DeterministicExceptionIsNotRetried) {
     EXPECT_EQ(victim.error, "bad chaos input");
 }
 
+TEST(SupervisorIsolated, NarrowedCrashReproNamesTheGridIndex) {
+    ALPS_SKIP_UNDER_TSAN();
+    // Grid index 3 crashes in the worker; the `group=b` filter keeps grid
+    // tasks 1 and 3, so the crash runs at position 1 of the narrowed sweep.
+    // Its forensics repro must still name --only-task 3, and replaying that
+    // command (no narrowing flags) must re-execute the same point.
+    Experiment e;
+    e.name = "narrow_crash";
+    e.tolerate_task_errors = true;
+    e.make_tasks = [](const SweepOptions&) {
+        std::vector<Task> tasks;
+        for (int i = 0; i < 5; ++i) {
+            Task t;
+            t.point = "t" + std::to_string(i);
+            t.params = {{"group", i % 2 == 1 ? "b" : "a"}};
+            t.fn = [i](const TaskContext&) {
+                if (i == 3 && attempt_from_env() >= 0) std::abort();
+                return Result{}.metric("ok", 1.0);
+            };
+            tasks.push_back(std::move(t));
+        }
+        return tasks;
+    };
+    TempDir dir("iso_narrow_crash");
+    SweepOptions options;
+    options.jobs = 1;
+    options.seed = 909;
+    options.quiet = true;
+    options.isolate = true;
+    options.max_attempts = 1;
+    options.out_dir = dir.str();
+    options.filters = {{"group", "b"}};
+    ::testing::internal::CaptureStderr();
+    const SweepReport narrowed = run_sweep(e, options, nullptr);
+    const std::string forensics = ::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(narrowed.tasks.size(), 2u);
+    EXPECT_EQ(narrowed.tasks[1].point, "t3");
+    EXPECT_EQ(narrowed.tasks[1].disposition, "crashed");
+    EXPECT_NE(forensics.find("alps-sweep --experiment narrow_crash --seed 909 "
+                             "--only-task 3 "),
+              std::string::npos)
+        << forensics;
+
+    options.filters.clear();
+    options.only_task = 3;
+    ::testing::internal::CaptureStderr();
+    const SweepReport repro = run_sweep(e, options, nullptr);
+    (void)::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(repro.tasks.size(), 1u);
+    EXPECT_EQ(repro.tasks[0].point, "t3");
+    EXPECT_EQ(repro.tasks[0].disposition, "crashed");
+}
+
 TEST(SupervisorIsolated, WatchdogKillsStalledRunAndForensicsHasRepro) {
     ALPS_SKIP_UNDER_TSAN();
     TempDir dir("iso_stall");

@@ -122,7 +122,7 @@ TEST(WebScale, SweepIsJobsIndependent) {
     options.seed = 0x3b5;
     options.quiet = true;
     // One machine, headline intensity only: 5 points instead of 9.
-    options.flash_crowd = 8.0;
+    options.filters = {{"flash_multiplier", "8"}};
     options.jobs = 1;
     const auto serial = harness::run_sweep(*e, options, nullptr);
     options.jobs = 3;

@@ -19,7 +19,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "../bench/experiments.h"
@@ -45,21 +44,18 @@ void print_usage(std::ostream& out) {
            "  --trace FILE record an .alpstrace of the sweep (forces --jobs 1\n"
            "               so same-seed traces are byte-identical; inspect\n"
            "               with alps-trace)\n"
+           "narrowing (runs only the grid points whose param matches; each\n"
+           "point keeps its full-sweep index, seed and result; a flag that\n"
+           "matches nothing exits 2 listing the grid's values):\n"
            "  --kernel-policy NAME\n"
-           "               kernel scheduling policy for experiments that honor\n"
-           "               it (fig4: swaps the kernel under the whole figure;\n"
-           "               policy_zoo: narrows the zoo to one row); see\n"
-           "               --list-policies\n"
-           "  --ncpus N    simulated core count for machine-size sweeps\n"
-           "               (many_core, web_scale: runs only that grid column)\n"
-           "  --sites N    hosted-site count for web_scale: runs only that\n"
-           "               cluster size\n"
-           "  --shards N   shard count for sharded-engine sweeps (sharded_run,\n"
-           "               sim_perf's sharded point): runs only that count\n"
+           "               fig4: the kernel under the whole figure (see\n"
+           "               --list-policies); policy_zoo, sharded_run: the\n"
+           "               `policy` row\n"
+           "  --ncpus N    many_core, web_scale: the `ncpus` column\n"
+           "  --sites N    web_scale: the `sites` cluster size\n"
+           "  --shards N   sharded_run: the `shards` count\n"
            "  --flash-crowd X\n"
-           "               flash-crowd arrival multiplier for web_scale: runs\n"
-           "               only points with that intensity (0 disables the\n"
-           "               spike in the points it selects)\n"
+           "               web_scale: the `flash_multiplier` intensity (2 or 8)\n"
            "supervision (see DESIGN.md §10):\n"
            "  --isolate    fork one worker process per task execution; crashes\n"
            "               and hangs are classified per task, retried, and\n"
@@ -157,37 +153,16 @@ int main(int argc, char** argv) {
                                    sweep_args.data(), options)) {
         return 2;
     }
-    // The kernel factory would throw the same complaint from inside every
-    // task; checking here fails once, up front, with the valid names.
-    // policy_zoo rows that are not kernel policy names are still legal
-    // --kernel-policy values: the stride-engine A/Bs and "<policy>-percpu4".
-    const auto is_zoo_row = [](const std::string& name) {
-        if (name == "stride-engine" || name == "stride-engine-eager") return true;
-        constexpr std::string_view suffix = "-percpu4";
-        return name.size() > suffix.size() &&
-               name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0 &&
-               os::policies::is_known_policy(
-                   name.substr(0, name.size() - suffix.size()));
-    };
-    if (!options.kernel_policy.empty() && !is_zoo_row(options.kernel_policy) &&
-        !os::policies::is_known_policy(options.kernel_policy)) {
-        std::cerr << "unknown kernel policy: " << options.kernel_policy
-                  << "\nvalid policies: " << known_policy_names()
-                  << " (see --list-policies)\n";
-        return 2;
-    }
-
     int worst = 0;
     for (const std::string& name : names) {
         std::cout << "=== " << name << " ===\n";
         try {
             worst = std::max(worst, harness::run_and_report(name, options));
         } catch (const std::invalid_argument& e) {
-            // The kernel policy factory (or another constructor-level
-            // validator) rejected its configuration inside a task. The
-            // pre-check above catches the common case up front; this is the
-            // backstop for experiments that construct kernels in ways the
-            // pre-check cannot see.
+            // An experiment that runs the --kernel-policy kernel (fig4)
+            // rejected an unknown name while building its grid. Grids that
+            // sweep policies reject one through the runner's `policy`
+            // filter instead, naming their own rows.
             std::cerr << "error: " << e.what() << "\nvalid policies: "
                       << known_policy_names() << " (see --list-policies)\n";
             return 2;
