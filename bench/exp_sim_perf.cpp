@@ -1,14 +1,16 @@
 // Simulation-substrate performance ("sim_perf"): wall-clock throughput of the
 // three layers the O(1) rework touched — the event engine (schedule/cancel/
 // fire churn), the BsdPolicy run queues (enqueue/pop cycling), and an
-// end-to-end fig8_fig9-style run at N=40 and N=120.
+// end-to-end fig8_fig9-style run at N=40 and N=120 — plus the end-to-end
+// speed of the web_scale flagship's three deployments at cell scale.
 //
 // Unlike every other experiment, these metrics are *timings of the host
 // machine*, so the BENCH_sim_perf.json report is NOT bit-identical across
 // runs or --jobs values (the simulated results the timings are derived from
-// still are). scripts/check.sh runs this experiment single-job in Release
-// and compares engine_events_per_sec against the checked-in baseline to
-// catch substrate performance regressions.
+// still are); its run.host names the machine. scripts/check.sh runs this
+// experiment single-job in Release and compares engine_events_per_sec
+// against the checked-in baseline to catch substrate performance
+// regressions.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -30,6 +32,7 @@
 #include "traffic/table.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "web/cluster.h"
 #include "workload/experiments.h"
 
 namespace alps::bench {
@@ -403,6 +406,31 @@ harness::Result e2e_task(int n, bool full) {
         .metric("cycles", static_cast<double>(r.cycles_completed));
 }
 
+// End-to-end web hosting: the web_scale cell (96 sites x 8 CPUs, flash x8)
+// once per deployment — kernel-only, one global ALPS, one ALPS per core —
+// timed on the host. Every layer of the flagship runs: traffic generation,
+// the kernel's idle-steal and wait-channel paths, ALPS and latency
+// recording. `<arm>_events` is the simulated work (deterministic), so two
+// hosts' events/s compare like with like.
+constexpr const char* kWebArms[] = {"kernel", "global_q10", "percore_q10"};
+
+harness::Result e2e_web_task(bool full) {
+    harness::Result res;
+    for (const char* arm : kWebArms) {
+        web::WebScaleConfig cfg =
+            web_scale_point_config(std::string("s96x8/f8/") + arm, full);
+        cfg.per_site_telemetry = false;
+        const auto t0 = Clock::now();
+        const web::WebScaleResult r = web::run_web_scale_experiment(cfg);
+        const double wall = seconds_since(t0);
+        const std::string key(arm);
+        res.metric(key + "_wall_s", wall);
+        res.metric(key + "_events_per_s", static_cast<double>(r.events_fired) / wall);
+        res.metric(key + "_events", static_cast<double>(r.events_fired));
+    }
+    return res;
+}
+
 std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {
     const int reps = options.full_scale ? 5 : 3;
     std::vector<harness::Task> tasks;
@@ -426,6 +454,7 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {
     push("sharded_engine", [](bool full) { return sharded_engine_task(full); });
     push("e2e_n40", [](bool full) { return e2e_task(40, full); });
     push("e2e_n120", [](bool full) { return e2e_task(120, full); });
+    push("e2e_web", [](bool full) { return e2e_web_task(full); });
     return tasks;
 }
 
@@ -463,6 +492,13 @@ void present(const harness::SweepReport& report, std::ostream& out) {
                util::fmt(report.metric_mean("e2e_n40", "wall_ms"), 2)});
     t.add_row({"e2e_n120", "wall ms/run",
                util::fmt(report.metric_mean("e2e_n120", "wall_ms"), 2)});
+    for (const char* arm : kWebArms) {
+        const std::string key(arm);
+        t.add_row({"e2e_web", key + " wall s/run",
+                   util::fmt(report.metric_mean("e2e_web", key + "_wall_s"), 3)});
+        t.add_row({"e2e_web", key + " events/sec",
+                   util::fmt(report.metric_mean("e2e_web", key + "_events_per_s"), 0)});
+    }
     t.print(out);
     out << "\nTimings are host-dependent: this JSON is the one exception to "
            "the sweep's bit-identity guarantee.\n";

@@ -15,6 +15,7 @@
 // and not from placement.
 #include <cstdint>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -200,6 +201,17 @@ void present(const harness::SweepReport& report, std::ostream& out) {
 }
 
 }  // namespace
+
+web::WebScaleConfig web_scale_point_config(const std::string& point, bool full) {
+    for (const Machine& m : kMachines) {
+        for (const double flash : kFlashGrid) {
+            for (const Arm& a : kArms) {
+                if (point_name(m, flash, a) == point) return make_config(m, flash, a, full);
+            }
+        }
+    }
+    throw std::invalid_argument("no web_scale point " + point);
+}
 
 void register_web_scale_experiment() {
     harness::Experiment e;

@@ -8,6 +8,12 @@
 // register_all_experiments() (idempotent) and then run by name.
 #pragma once
 
+#include <string>
+
+namespace alps::web {
+struct WebScaleConfig;
+}  // namespace alps::web
+
 namespace alps::bench {
 
 /// Figure 4: accuracy vs quantum length across the nine workloads ("fig4").
@@ -41,6 +47,11 @@ void register_many_core_experiment();
 /// Open-loop hosting under a flash crowd: share-protected latency
 /// percentiles across kernel/global/per-core deployments ("web_scale").
 void register_web_scale_experiment();
+
+/// The configuration web_scale runs at grid point `point` (e.g.
+/// "s96x8/f8/percore_q10"; seed left at its default). Throws
+/// std::invalid_argument for a point the grid does not have.
+web::WebScaleConfig web_scale_point_config(const std::string& point, bool full);
 
 /// Sharded-engine determinism gate: the 8-group machine bit-identical at
 /// 1/2/8 shards, serial and threaded, per kernel policy ("sharded_run").

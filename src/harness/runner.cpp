@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <mutex>
@@ -167,6 +168,34 @@ std::vector<std::size_t> narrow(const Experiment& experiment,
 }
 
 }  // namespace
+
+util::Json host_fingerprint() {
+    std::string cpu = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            const std::size_t colon = line.find(':');
+            if (colon != std::string::npos) {
+                const std::size_t start = line.find_first_not_of(' ', colon + 1);
+                if (start != std::string::npos) cpu = line.substr(start);
+            }
+            break;
+        }
+    }
+#if defined(__clang__)
+    const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const char* compiler = "gcc " __VERSION__;
+#else
+    const char* compiler = "unknown";
+#endif
+    util::Json host = util::Json::object();
+    host.set("cpu_model", cpu);
+    host.set("cores", static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    host.set("compiler", std::string(compiler));
+    host.set("build_type", std::string(ALPS_BUILD_TYPE[0] != '\0' ? ALPS_BUILD_TYPE : "unknown"));
+    return host;
+}
 
 std::string current_git_sha() {
     FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
@@ -358,6 +387,7 @@ SweepReport run_sweep(const Experiment& experiment, const SweepOptions& raw_opti
     report.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     report.git_sha = current_git_sha();
+    report.host = host_fingerprint();
     if (!metrics.empty()) report.telemetry = metrics.to_json();
     return report;
 }

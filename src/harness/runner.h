@@ -44,4 +44,10 @@ bool parse_sweep_args(int argc, char** argv, SweepOptions& options);
 /// Short git commit hash of the working tree, or "unknown" outside a repo.
 std::string current_git_sha();
 
+/// The host a sweep ran on: {cpu_model, cores, compiler, build_type} —
+/// the CPU model from /proc/cpuinfo ("unknown" where it is absent), the
+/// hardware thread count, and the compiler and CMake build type this
+/// library was built with.
+util::Json host_fingerprint();
+
 }  // namespace alps::harness

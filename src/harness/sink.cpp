@@ -172,6 +172,7 @@ util::Json report_to_json(const SweepReport& report, bool include_run) {
         run.set("tasks", static_cast<std::uint64_t>(report.tasks.size()));
         run.set("wall_clock_s", report.wall_seconds);
         run.set("git_sha", report.git_sha);
+        if (report.host.type() == util::Json::Type::kObject) run.set("host", report.host);
         if (report.telemetry.type() == util::Json::Type::kObject) {
             run.set("telemetry", report.telemetry);
         }

@@ -68,6 +68,9 @@ struct SweepReport {
     unsigned jobs = 0;
     double wall_seconds = 0.0;
     std::string git_sha;
+    /// The machine the sweep ran on (see host_fingerprint()): timings in a
+    /// report mean nothing without it.
+    util::Json host;
     /// Serialized sweep MetricsRegistry (telemetry::MetricsRegistry::to_json);
     /// null when no metrics were registered. Emitted inside "run" — counter
     /// totals are jobs-independent, but wall-time histograms are not, so the

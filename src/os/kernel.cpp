@@ -1,7 +1,9 @@
 #include "os/kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "os/policies/factory.h"
 #include "telemetry/metrics.h"
@@ -41,7 +43,11 @@ Kernel::Kernel(sim::Engine& engine, std::unique_ptr<SchedPolicy> policy, KernelC
     soa_base_ns_.push_back(0);
     soa_flags_.push_back(0);
     soa_uid_.push_back(0);
-    if (cfg_.percpu_queues) tick_scratch_.resize(static_cast<std::size_t>(cfg_.ncpus));
+    if (cfg_.percpu_queues) {
+        tick_scratch_.resize(static_cast<std::size_t>(cfg_.ncpus));
+        migratable_.assign(static_cast<std::size_t>(cfg_.ncpus), 0);
+        migratable_recount_.assign(static_cast<std::size_t>(cfg_.ncpus), 0);
+    }
     decision_kind_ = engine_.register_hot(&Kernel::on_decision_timer, this);
     wake_kind_ = engine_.register_hot(&Kernel::on_timer_wake, this);
     tick_kind_ = engine_.register_hot(&Kernel::on_second_tick, this);
@@ -112,8 +118,8 @@ Pid Kernel::spawn(std::string name, Uid uid, std::unique_ptr<Behavior> behavior,
 void Kernel::reap(Pid pid) {
     Proc& p = proc_mut(pid);
     ALPS_EXPECT(p.state == RunState::kZombie);
-    // ordered_'s iteration order IS observed — wakeup_channel wakes in
-    // creation order for determinism, second_tick hands the span to the
+    // ordered_'s order IS observed — wakeup_channel wakes in ordered_index
+    // order for determinism, second_tick hands the span to the
     // policy, and live_pids reports creation order — so the erase must keep
     // order (shift + reindex the tail), not swap with the tail. The stored
     // index still removes the old O(N) pointer scan to *find* the entry.
@@ -149,7 +155,7 @@ MigratedProc Kernel::extradite(Pid pid) {
     handle.phase_lazy_pending = p.phase_lazy_pending;
     handle.pinned = p.pinned;
 
-    dom(p).dequeue(p);
+    rq_dequeue(p);
     dom(p).remove(p);
     // Retire the pid exactly as do_exit + reap would: per-uid cache, creation
     // order, table slot, SoA row.
@@ -206,7 +212,7 @@ Pid Kernel::adopt(MigratedProc&& handle, int home_cpu) {
     members.push_back(&p);
     dom(p).add(p);
     p.enqueue_time = now();
-    dom(p).enqueue(p);
+    rq_enqueue(p);
     ++adoptions_;
     // Unlike spawn, no next_action: the process resumes its interrupted
     // phase (run_remaining / the lazy-demand flag travelled with it).
@@ -388,7 +394,7 @@ void Kernel::send_signal(Pid pid, Signal sig) {
             dom(p).on_wakeup(p, now() - p.stop_start);
             if (p.state == RunState::kRunnable) {
                 p.enqueue_time = now();
-                dom(p).enqueue(p);
+                rq_enqueue(p);
             }
             break;
         case Signal::kKill:
@@ -403,7 +409,7 @@ void Kernel::apply_stop(Proc& p) {
     p.stop_start = now();
     sync_soa(p);
     if (p.state == RunState::kRunnable && p.on_cpu < 0) {
-        dom(p).dequeue(p);
+        rq_dequeue(p);
     }
     // A running process is descheduled by the dispatcher (it is no longer
     // eligible()); a sleeper keeps sleeping, as under job control.
@@ -411,17 +417,92 @@ void Kernel::apply_stop(Proc& p) {
 
 void Kernel::wakeup_channel(WaitChannel chan) {
     ALPS_EXPECT(chan != nullptr);
-    // Creation-order iteration keeps wake order deterministic.
-    for (Proc* p : ordered_) {
-        if (p->state == RunState::kSleeping && p->wchan == chan) {
-            if (p->sleep_event != 0) {
-                engine_.cancel(p->sleep_event);
-                p->sleep_event = 0;
-            }
-            do_wake(*p);
+    // The first channel wakeup builds the sleep queues from every sleeper so
+    // far; begin_sleep links later ones.
+    if (slpque_.empty()) slp_rehash(std::max<std::size_t>(64, ordered_.size()));
+    wake_scratch_.clear();
+    for (Proc* p = slpque_[slp_bucket(chan)]; p != nullptr; p = p->slp_next) {
+        // do_wake and do_exit unlink: anything else here is a dangling link.
+        ALPS_GUARD(p->state == RunState::kSleeping);
+        if (p->wchan == chan) wake_scratch_.push_back(p);
+    }
+    // Wake in creation order, as a scan of the process table would: the
+    // order is observable through the run queues.
+    if (wake_scratch_.size() > 1) {
+        std::sort(wake_scratch_.begin(), wake_scratch_.end(),
+                  [](const Proc* a, const Proc* b) {
+                      return a->ordered_index < b->ordered_index;
+                  });
+    }
+    for (Proc* p : wake_scratch_) {
+        if (p->sleep_event != 0) {
+            engine_.cancel(p->sleep_event);
+            p->sleep_event = 0;
         }
+        do_wake(*p);
     }
     schedule();
+}
+
+std::size_t Kernel::slp_bucket(WaitChannel chan) const {
+    // Fibonacci hashing: channels are object addresses whose low bits are
+    // alignment; the multiply spreads every bit into the top ones kept.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(chan)) *
+         0x9E37'79B9'7F4A'7C15ULL) >>
+        slpque_shift_);
+}
+
+void Kernel::slp_link(Proc& p) {
+    Proc*& head = slpque_[slp_bucket(p.wchan)];
+    p.slp_prev = nullptr;
+    p.slp_next = head;
+    if (head != nullptr) head->slp_prev = &p;
+    head = &p;
+    if (++slp_linked_ > 2 * slpque_.size()) slp_rehash(2 * slpque_.size());
+}
+
+void Kernel::slp_unlink(Proc& p) {
+    if (p.slp_prev != nullptr) {
+        p.slp_prev->slp_next = p.slp_next;
+    } else {
+        Proc*& head = slpque_[slp_bucket(p.wchan)];
+        ALPS_GUARD(head == &p);
+        head = p.slp_next;
+    }
+    if (p.slp_next != nullptr) p.slp_next->slp_prev = p.slp_prev;
+    p.slp_prev = nullptr;
+    p.slp_next = nullptr;
+    --slp_linked_;
+}
+
+void Kernel::slp_rehash(std::size_t buckets) {
+    const std::size_t size = std::bit_ceil(buckets);
+    slpque_.assign(size, nullptr);
+    slpque_shift_ = 64 - std::countr_zero(size);
+    slp_linked_ = 0;
+    for (Proc* p : ordered_) {
+        if (p->state == RunState::kSleeping && p->wchan != nullptr) slp_link(*p);
+    }
+}
+
+void Kernel::rq_enqueue(Proc& p) {
+    dom(p).enqueue(p);
+    if (cfg_.percpu_queues && !p.pinned) ++migratable_[static_cast<std::size_t>(p.home_cpu)];
+}
+
+void Kernel::rq_dequeue(Proc& p) {
+    const bool queued = p.rq_index >= 0;
+    dom(p).dequeue(p);
+    if (queued && cfg_.percpu_queues && !p.pinned) {
+        --migratable_[static_cast<std::size_t>(p.home_cpu)];
+    }
+}
+
+Proc* Kernel::rq_pop(std::size_t d) {
+    Proc* p = domains_[d]->pop();
+    if (p != nullptr && cfg_.percpu_queues && !p->pinned) --migratable_[d];
+    return p;
 }
 
 void Kernel::timer_wake(Pid pid) {
@@ -436,6 +517,7 @@ void Kernel::do_wake(Proc& p) {
     ALPS_EXPECT(p.state == RunState::kSleeping);
     const Duration slept = now() - p.sleep_start;
     dom(p).on_wakeup(p, slept);
+    if (p.wchan != nullptr && !slpque_.empty()) slp_unlink(p);
     p.state = RunState::kRunnable;
     p.wchan = nullptr;
     sync_soa(p);
@@ -444,7 +526,7 @@ void Kernel::do_wake(Proc& p) {
         // user-mode process until its own first dispatch.
         p.wake_boost = true;
         p.enqueue_time = now();
-        dom(p).enqueue(p);
+        rq_enqueue(p);
     }
 }
 
@@ -454,7 +536,7 @@ void Kernel::do_exit(Proc& p) {
         charge_running(p.on_cpu);
         vacate(p.on_cpu);
     } else if (p.state == RunState::kRunnable && !p.stopped) {
-        dom(p).dequeue(p);
+        rq_dequeue(p);
     }
     if (p.sleep_event != 0) {
         engine_.cancel(p.sleep_event);
@@ -463,6 +545,9 @@ void Kernel::do_exit(Proc& p) {
     if (p.pending_stop_event != 0) {
         engine_.cancel(p.pending_stop_event);
         p.pending_stop_event = 0;
+    }
+    if (p.state == RunState::kSleeping && p.wchan != nullptr && !slpque_.empty()) {
+        slp_unlink(p);
     }
     p.state = RunState::kZombie;
     p.wchan = nullptr;
@@ -501,7 +586,7 @@ void Kernel::apply_action(Proc& p, const Action& a) {
         if (p.on_cpu < 0) {
             ALPS_ENSURE(p.state == RunState::kRunnable && !p.stopped);
             p.enqueue_time = now();
-            dom(p).enqueue(p);
+            rq_enqueue(p);
         }
         return;
     }
@@ -531,6 +616,7 @@ void Kernel::begin_sleep(Proc& p, bool timed, TimePoint wake_at, WaitChannel cha
     }
     p.state = RunState::kSleeping;
     p.wchan = chan;
+    if (chan != nullptr && !slpque_.empty()) slp_link(p);
     p.sleep_start = now();
     sync_soa(p);
     ++p.voluntary_sleeps;
@@ -704,7 +790,7 @@ void Kernel::schedule() {
                 Proc* v = running_[static_cast<std::size_t>(victim)];
                 vacate(victim);
                 v->enqueue_time = now();
-                pol.enqueue(*v);
+                rq_enqueue(*v);  // v runs on one of d's CPUs, so dom(*v) == pol
                 resched_ = true;  // re-evaluate after the fill below
             }
         }
@@ -720,9 +806,7 @@ void Kernel::schedule() {
         // percpu_queues) by stealing from the most-loaded peer.
         for (int c = 0; c < cfg_.ncpus; ++c) {
             if (running_[static_cast<std::size_t>(c)] != nullptr) continue;
-            SchedPolicy& pol =
-                *domains_[cfg_.percpu_queues ? static_cast<std::size_t>(c) : 0];
-            Proc* next = pol.pop();
+            Proc* next = rq_pop(cfg_.percpu_queues ? static_cast<std::size_t>(c) : 0);
             if (next == nullptr && cfg_.percpu_queues) next = steal_for(c);
             if (next == nullptr) {
                 if (!cfg_.percpu_queues) break;  // shared queue drained: done
@@ -779,20 +863,24 @@ Proc* Kernel::steal_for(int cpu) {
         }
     }
     if (victim < 0) return nullptr;
-    // The stolen process is the victim policy's best *migratable* pick: pop
-    // in priority order, skipping pinned processes (they go straight back
-    // on the victim's queue with their original enqueue_time, so their
-    // round-robin age is preserved). With nothing pinned the first pop wins,
-    // exactly the old behavior.
-    SchedPolicy& vict = *domains_[static_cast<std::size_t>(victim)];
-    Proc* p = pop_migratable(vict);
+    // The stolen process is the victim policy's best *migratable* pick (see
+    // pop_migratable). With nothing pinned the first pop wins.
+    Proc* p = pop_migratable(static_cast<std::size_t>(victim));
     if (p == nullptr) return nullptr;  // the victim's queue is all pinned
     migrate(*p, cpu);
     ++steals_;
     return p;
 }
 
-Proc* Kernel::pop_migratable(SchedPolicy& from) {
+Proc* Kernel::pop_migratable(std::size_t d) {
+    // All pinned (or empty): O(1), and the queue is left untouched — popping
+    // and re-enqueueing it would spend lottery draws, reset compensation and
+    // re-price stride passes for a steal that cannot happen.
+    if (migratable_[d] == 0) return nullptr;
+    // Mixed: pop in priority order, skipping pinned processes (they go
+    // straight back on the queue with their original enqueue_time, so their
+    // round-robin age is preserved, though the policy may reorder them).
+    SchedPolicy& from = *domains_[d];
     balance_scratch_.clear();
     Proc* pick = nullptr;
     while (Proc* cand = from.pop()) {
@@ -803,6 +891,9 @@ Proc* Kernel::pop_migratable(SchedPolicy& from) {
         balance_scratch_.push_back(cand);
     }
     for (Proc* q : balance_scratch_) from.enqueue(*q);
+    // A positive count promises a queued unpinned process.
+    ALPS_GUARD(pick != nullptr);
+    --migratable_[d];
     return pick;
 }
 
@@ -833,11 +924,11 @@ void Kernel::rebalance() {
         // domain is pinned, the imbalance is intentional and this tick's
         // pass stops (the next-busiest domain is at most one move away from
         // balanced anyway under the ncpus-moves bound).
-        Proc* p = pop_migratable(*domains_[static_cast<std::size_t>(busiest)]);
+        Proc* p = pop_migratable(static_cast<std::size_t>(busiest));
         if (p == nullptr) return;  // all of busiest's load is on-CPU or pinned
         migrate(*p, idlest);
         p->enqueue_time = now();
-        dom(*p).enqueue(*p);
+        rq_enqueue(*p);
     }
 }
 
@@ -864,9 +955,15 @@ void Kernel::second_tick() {
         // cheaper than maintaining per-domain membership lists through every
         // migration, at one pointer append per live process per second.
         for (std::vector<Proc*>& v : tick_scratch_) v.clear();
+        std::fill(migratable_recount_.begin(), migratable_recount_.end(), 0);
         for (Proc* p : ordered_) {
-            tick_scratch_[static_cast<std::size_t>(domain_of(*p))].push_back(p);
+            const auto d = static_cast<std::size_t>(domain_of(*p));
+            tick_scratch_[d].push_back(p);
+            if (p->rq_index >= 0 && !p->pinned) ++migratable_recount_[d];
         }
+        // The steal/rebalance skip trusts this count; a drift would strand
+        // or lose work silently.
+        ALPS_GUARD(migratable_recount_ == migratable_);
         for (std::size_t d = 0; d < domains_.size(); ++d) {
             domains_[d]->second_tick(tick_scratch_[d], loadavg_, now());
         }

@@ -248,6 +248,24 @@ private:
 
     void begin_sleep(Proc& p, bool timed, util::TimePoint wake_at, WaitChannel chan);
     void timer_wake(Pid pid);
+
+    // ----- run-queue membership under the migratable count -----
+
+    // Every enqueue, dequeue and pop the kernel issues goes through these,
+    // so migratable_ stays exact (a process is queued iff rq_index >= 0).
+    void rq_enqueue(Proc& p);
+    void rq_dequeue(Proc& p);
+    [[nodiscard]] Proc* rq_pop(std::size_t d);
+
+    // ----- hashed sleep queues (4.4BSD slpque) -----
+
+    [[nodiscard]] std::size_t slp_bucket(WaitChannel chan) const;
+    void slp_link(Proc& p);
+    void slp_unlink(Proc& p);
+    /// Builds the bucket table (first wakeup_channel call) or doubles it
+    /// (load factor above 2), linking every channel sleeper in ordered_.
+    void slp_rehash(std::size_t buckets);
+
     /// Transitions a sleeper to runnable (respecting the stopped flag).
     void do_wake(Proc& p);
     void do_exit(Proc& p);
@@ -277,9 +295,11 @@ private:
     /// the deepest domain to the shallowest until the spread is < 2, with a
     /// bounded number of moves per tick.
     void rebalance();
-    /// Pops `from`'s best non-pinned process (re-enqueueing any pinned
-    /// processes popped along the way); nullptr when everything is pinned.
-    Proc* pop_migratable(SchedPolicy& from);
+    /// Pops domain `d`'s best non-pinned process; nullptr when everything
+    /// queued there is pinned. An all-pinned queue is skipped in O(1) and
+    /// left untouched; a mixed queue is popped in priority order and its
+    /// pinned processes are re-enqueued.
+    Proc* pop_migratable(std::size_t d);
     /// Moves `p` (already off `from`'s queues) into `to`'s domain.
     void migrate(Proc& p, int to);
 
@@ -361,10 +381,27 @@ private:
     /// Per-domain scratch for second_tick under percpu_queues (rebuilt from
     /// ordered_ each tick; member to avoid per-tick allocation).
     std::vector<std::vector<Proc*>> tick_scratch_;
-    /// Pinned processes popped while steal_for/rebalance searched a victim
-    /// queue for a migratable pick; re-enqueued before the search returns
-    /// (member to avoid per-steal allocation).
+    /// Pinned processes popped while steal_for/rebalance searched a mixed
+    /// victim queue for a migratable pick; re-enqueued before the search
+    /// returns (member to avoid per-steal allocation).
     std::vector<Proc*> balance_scratch_;
+    /// Per-domain count of queued unpinned processes (percpu_queues only;
+    /// empty otherwise): steal and rebalance skip a domain whose count is 0
+    /// without touching its queue. second_tick recounts it under ALPS_GUARD.
+    std::vector<std::size_t> migratable_;
+    std::vector<std::size_t> migratable_recount_;  ///< second_tick scratch
+
+    /// Hashed sleep queues: doubly-linked lists of channel sleepers through
+    /// Proc::slp_prev/slp_next, bucketed by a Fibonacci hash of the channel
+    /// pointer (power-of-two size). Empty until the first wakeup_channel
+    /// call — kernels that never wake by channel (fig4) never allocate it;
+    /// from then on every sleeper with a channel is linked.
+    std::vector<Proc*> slpque_;
+    int slpque_shift_ = 0;        ///< 64 - log2(slpque_.size())
+    std::size_t slp_linked_ = 0;  ///< processes currently linked
+    /// wakeup_channel's matches, sorted into creation order (member to
+    /// avoid per-wakeup allocation).
+    std::vector<Proc*> wake_scratch_;
 };
 
 }  // namespace alps::os

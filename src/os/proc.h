@@ -29,6 +29,14 @@ struct Proc {
     /// bound processes immediately, exactly as under 4.4BSD. Cleared at
     /// dispatch; the dispatcher then re-checks preemption at user priority.
     bool wake_boost = false;
+    // The two flags below belong with home_cpu and run_remaining; they sit
+    // here, in the padding after the flags above, so that the sleep-queue
+    // links cost no bytes per process.
+    /// Hard affinity: idle-steal and rebalance never migrate a pinned
+    /// process, so it stays on the domain it was spawned (or last
+    /// explicitly migrated) to. Meaningless without percpu_queues.
+    bool pinned = false;
+    bool phase_lazy_pending = false;  ///< lazy run demand not yet computed
 
     // --- 4.4BSD scheduling fields (maintained by BsdPolicy) ---
     double estcpu = 0.0;  ///< decaying estimate of recent CPU use, in stat ticks
@@ -54,15 +62,14 @@ struct Proc {
     /// under the shared global queue. Updated by the kernel when idle-steal
     /// or the periodic rebalance migrates the process.
     int home_cpu = 0;
-    /// Hard affinity: idle-steal and rebalance never migrate a pinned
-    /// process, so it stays on the domain it was spawned (or last
-    /// explicitly migrated) to. Meaningless without percpu_queues.
-    bool pinned = false;
 
     // --- current phase ---
     util::Duration run_remaining{0};  ///< CPU left in the current run phase
-    bool phase_lazy_pending = false;  ///< lazy run demand not yet computed
     WaitChannel wchan = nullptr;      ///< wait channel while sleeping
+    // --- intrusive sleep-queue links (maintained by Kernel, like the
+    // --- p_procq links of 4.4BSD's hashed slpque) ---
+    Proc* slp_prev = nullptr;
+    Proc* slp_next = nullptr;
     sim::EventId sleep_event = 0;     ///< pending timer wake, if any
     sim::EventId pending_stop_event = 0;  ///< deferred SIGSTOP delivery, if any
 

@@ -203,6 +203,7 @@ WebScaleResult run_web_scale_experiment(const WebScaleConfig& cfg) {
         util::to_sec(alps_cpu - alps0) / (window_s * cfg.ncpus);
     res.migrations = kernel.migrations();
     res.steals = kernel.steals();
+    res.events_fired = engine.events_fired();
 
     if (cfg.metrics != nullptr) {
         engine.export_metrics(*cfg.metrics);

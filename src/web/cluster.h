@@ -153,6 +153,7 @@ struct WebScaleResult {
     std::uint64_t boundaries_missed = 0;
     std::uint64_t migrations = 0;
     std::uint64_t steals = 0;
+    std::uint64_t events_fired = 0;  ///< engine events over the whole run
 };
 
 [[nodiscard]] WebScaleResult run_web_scale_experiment(const WebScaleConfig& cfg);

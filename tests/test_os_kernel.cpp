@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "os/behaviors.h"
@@ -247,6 +248,190 @@ TEST(Kernel, WakeupChannelWakesAllWaiters) {
     m.kernel.wakeup_channel(chan);
     m.run_for(sec(1));
     for (Pid p : pids) EXPECT_EQ(m.kernel.cpu_time(p), msec(10));
+}
+
+// ----- hashed sleep queues -----
+
+/// Runs `run_first`, then blocks on `chan`, then spins once woken.
+std::unique_ptr<Behavior> block_after(Duration run_first, WaitChannel chan) {
+    return std::make_unique<ScriptedBehavior>(
+        std::vector<Action>{RunAction{run_first}, BlockAction{chan}, RunAction{sec(100)}});
+}
+
+TEST(KernelSleepQueue, WakesInCreationOrderAfterReapAndAdopt) {
+    // Four CPUs sharing one queue: the woken processes are dispatched to
+    // CPUs 0..3 in pop order, which is wake order (FIFO among boosted
+    // wakers), so running_pid_on() reads the wake order back.
+    sim::Engine engine;
+    Kernel kernel(engine, nullptr, KernelConfig{.ncpus = 4});
+    static int chan_tag = 0;
+    static int other_tag = 0;
+    const WaitChannel chan = &chan_tag;
+    // Build the queues up front so every later sleep is linked by
+    // begin_sleep, in sleep order rather than creation order.
+    kernel.wakeup_channel(&other_tag);
+
+    // A zombie reaped before the sleepers run shifts every creation index.
+    const Pid z = kernel.spawn(
+        "z", 0, std::make_unique<FunctionBehavior>([](ProcContext) { return ExitAction{}; }));
+    const Pid a = kernel.spawn("a", 0, block_after(msec(30), chan));
+    const Pid b = kernel.spawn("b", 0, block_after(msec(40), chan));
+    const Pid c = kernel.spawn("c", 0, block_after(msec(10), chan));
+    ASSERT_FALSE(kernel.alive(z));
+    kernel.reap(z);
+    // Adopted last, so woken last — though it is the first to fall asleep.
+    MigratedProc handle;
+    handle.name = "d";
+    handle.behavior = block_after(msec(5), chan);
+    const Pid d = kernel.adopt(std::move(handle));
+
+    engine.run_until(engine.now() + msec(100));
+    for (const Pid p : {a, b, c, d}) ASSERT_TRUE(kernel.is_blocked(p)) << p;
+    kernel.wakeup_channel(chan);
+    EXPECT_EQ(kernel.running_pid_on(0), a);
+    EXPECT_EQ(kernel.running_pid_on(1), b);
+    EXPECT_EQ(kernel.running_pid_on(2), c);
+    EXPECT_EQ(kernel.running_pid_on(3), d);
+}
+
+TEST(KernelSleepQueue, ChannelWakeCancelsTheSleepTimer) {
+    Machine m;
+    static int chan_tag = 0;
+    static int later_tag = 0;
+    // A timed sleep on a channel, woken early through the channel; the
+    // process then blocks (untimed) elsewhere. A timer left armed would
+    // wake it from that block at t = 10 s.
+    const Pid p = m.kernel.spawn(
+        "timed", 0,
+        std::make_unique<ScriptedBehavior>(std::vector<Action>{
+            SleepAction{sec(10), &chan_tag}, RunAction{msec(5)}, BlockAction{&later_tag}}));
+    m.run_for(msec(100));
+    ASSERT_TRUE(m.kernel.is_blocked(p));
+    ASSERT_NE(m.kernel.proc(p).sleep_event, 0u);
+    m.kernel.wakeup_channel(&chan_tag);
+    EXPECT_EQ(m.kernel.proc(p).sleep_event, 0u);
+    m.run_for(sec(20));
+    EXPECT_TRUE(m.kernel.is_blocked(p));
+    EXPECT_EQ(m.kernel.proc(p).wchan, &later_tag);
+    EXPECT_EQ(m.kernel.cpu_time(p), msec(5));
+}
+
+TEST(KernelSleepQueue, KilledSleeperIsUnlinked) {
+    Machine m;
+    static int chan_tag = 0;
+    const WaitChannel chan = &chan_tag;
+    m.kernel.wakeup_channel(chan);  // queues live before anyone sleeps
+    std::vector<Pid> pids;
+    for (int i = 0; i < 3; ++i) {
+        pids.push_back(m.kernel.spawn("s" + std::to_string(i), 0,
+                                      block_after(msec(1 + i), chan)));
+    }
+    m.run_for(msec(50));
+    // Kill the middle and the most recent sleeper (the bucket's head), reap
+    // one of them: the survivor's links must not reach a dead record.
+    m.kernel.send_signal(pids[1], Signal::kKill);
+    m.kernel.send_signal(pids[2], Signal::kKill);
+    m.kernel.reap(pids[1]);
+    m.kernel.wakeup_channel(chan);
+    m.run_for(msec(10));
+    EXPECT_FALSE(m.kernel.is_blocked(pids[0]));
+    EXPECT_EQ(m.kernel.cpu_time(pids[0]), msec(1) + msec(10));
+    EXPECT_FALSE(m.kernel.alive(pids[2]));
+    EXPECT_EQ(m.kernel.cpu_time(pids[2]), msec(3));
+}
+
+TEST(KernelSleepQueue, EmptyChannelOnlyReschedules) {
+    Machine m;
+    static int chan_tag = 0;
+    static int empty_tag = 0;
+    const Pid sleeper = m.kernel.spawn("s", 0, block_after(msec(1), &chan_tag));
+    const Pid hog = m.cpu_hog("hog");
+    m.run_for(msec(500));
+    const std::uint64_t switches = m.kernel.context_switches();
+    m.kernel.wakeup_channel(&empty_tag);
+    EXPECT_TRUE(m.kernel.is_blocked(sleeper));
+    EXPECT_EQ(m.kernel.running_pid(), hog);
+    EXPECT_EQ(m.kernel.context_switches(), switches);
+    m.run_for(msec(500));
+    EXPECT_EQ(m.kernel.cpu_time(hog), sec(1) - msec(1));
+}
+
+TEST(KernelSleepQueue, ReusedChannelAddressWakesOnlyTheNewSleeper) {
+    Machine m;
+    // One address serves as the wait channel of two behaviours in turn, as
+    // a freed object's address is reused: the first sleeper is killed
+    // before the second blocks on it.
+    static int slot = 0;
+    const WaitChannel chan = &slot;
+    m.kernel.wakeup_channel(chan);
+    const Pid old_sleeper = m.kernel.spawn("old", 0, block_after(msec(1), chan));
+    m.run_for(msec(10));
+    m.kernel.send_signal(old_sleeper, Signal::kKill);
+    const Pid new_sleeper = m.kernel.spawn("new", 0, block_after(msec(2), chan));
+    m.run_for(msec(10));
+    ASSERT_TRUE(m.kernel.is_blocked(new_sleeper));
+    m.kernel.wakeup_channel(chan);
+    m.run_for(msec(10));
+    EXPECT_FALSE(m.kernel.is_blocked(new_sleeper));
+    EXPECT_EQ(m.kernel.cpu_time(new_sleeper), msec(12));
+    EXPECT_TRUE(m.kernel.exists(old_sleeper));
+    EXPECT_FALSE(m.kernel.alive(old_sleeper));
+    EXPECT_EQ(m.kernel.cpu_time(old_sleeper), msec(1));
+}
+
+TEST(KernelSleepQueue, FirstWakeupFindsEarlierSleepers) {
+    Machine m;
+    static int chan_tag = 0;
+    const WaitChannel chan = &chan_tag;
+    // Untimed and timed channel sleepers, plus a timed sleeper with no
+    // channel, all asleep before the first wakeup_channel call.
+    const Pid blocked = m.kernel.spawn("blocked", 0, block_after(msec(1), chan));
+    const Pid timed = m.kernel.spawn(
+        "timed", 0,
+        std::make_unique<ScriptedBehavior>(
+            std::vector<Action>{SleepAction{sec(10), chan}, RunAction{sec(100)}}));
+    const Pid anon = m.kernel.spawn(
+        "anon", 0,
+        std::make_unique<ScriptedBehavior>(
+            std::vector<Action>{SleepAction{sec(10)}, RunAction{sec(100)}}));
+    m.run_for(msec(100));
+    for (const Pid p : {blocked, timed, anon}) ASSERT_TRUE(m.kernel.is_blocked(p)) << p;
+    m.kernel.wakeup_channel(chan);
+    EXPECT_FALSE(m.kernel.is_blocked(blocked));
+    EXPECT_FALSE(m.kernel.is_blocked(timed));
+    EXPECT_TRUE(m.kernel.is_blocked(anon));
+    // Sleeps after the first call are linked as they begin.
+    static int second_tag = 0;
+    const Pid late = m.kernel.spawn("late", 0, block_after(msec(1), &second_tag));
+    m.run_for(sec(1));
+    ASSERT_TRUE(m.kernel.is_blocked(late));
+    m.kernel.wakeup_channel(&second_tag);
+    EXPECT_FALSE(m.kernel.is_blocked(late));
+}
+
+TEST(KernelSleepQueue, ManyChannelsSurviveRehash) {
+    Machine m;
+    static int unused_tag = 0;
+    static std::array<int, 300> tags{};
+    m.kernel.wakeup_channel(&unused_tag);  // the smallest table
+    // Enough sleepers on distinct channels to double the table twice.
+    std::vector<Pid> pids;
+    for (int& tag : tags) {
+        pids.push_back(m.kernel.spawn(
+            "w", 0,
+            std::make_unique<ScriptedBehavior>(
+                std::vector<Action>{BlockAction{&tag}, RunAction{msec(1)}})));
+    }
+    for (std::size_t i = tags.size(); i-- > 0;) {
+        ASSERT_TRUE(m.kernel.is_blocked(pids[i])) << i;
+        m.kernel.wakeup_channel(&tags[i]);
+        EXPECT_FALSE(m.kernel.is_blocked(pids[i])) << i;
+        if (i > 0) {
+            EXPECT_TRUE(m.kernel.is_blocked(pids[i - 1])) << i;
+        }
+    }
+    m.run_for(sec(1));
+    for (const Pid p : pids) EXPECT_FALSE(m.kernel.alive(p));
 }
 
 TEST(Kernel, PidsOfUidFiltersAndOrders) {

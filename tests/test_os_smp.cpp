@@ -226,6 +226,66 @@ TEST(PercpuKernel, SpawnRejectsOutOfRangeHomeCpu) {
     EXPECT_THROW(m.hog("bad", -2), util::ContractViolation);
 }
 
+TEST(PercpuKernel, FailedStealLeavesAllPinnedLotteryQueueUntouched) {
+    // Three lottery hogs pinned to CPU 0 beside an idle CPU 1: every
+    // scheduling pass tries a steal from CPU 0, and every rebalance finds
+    // it busiest; all of these fail. Popping and re-enqueueing the queue to
+    // find that out would spend lottery draws and reset compensation, so
+    // the winners would drift from a one-CPU kernel's, where no steal is
+    // ever tried (domain 0 draws from the same seed in both).
+    auto winners = [](int ncpus) {
+        PercpuMachine m(ncpus, "lottery");
+        for (int i = 0; i < 3; ++i) {
+            m.kernel.spawn("p" + std::to_string(i), 0, std::make_unique<CpuBoundBehavior>(),
+                           /*nice=*/0, /*home_cpu=*/0, /*pinned=*/true);
+        }
+        std::vector<std::pair<std::int64_t, Pid>> seq;
+        const auto end = m.engine.now() + sec(5);
+        while (m.engine.step() && m.engine.now() < end) {
+            const Pid on_cpu0 = m.kernel.running_pid_on(0);
+            if (seq.empty() || seq.back().second != on_cpu0) {
+                seq.emplace_back(m.engine.now().since_epoch.count(), on_cpu0);
+            }
+        }
+        EXPECT_EQ(m.kernel.migrations(), 0u);
+        return seq;
+    };
+    const auto alone = winners(1);
+    EXPECT_GT(alone.size(), 20u);
+    EXPECT_EQ(winners(2), alone);
+}
+
+TEST(PercpuKernel, MigratableCountSurvivesEveryQueueChange) {
+    // Each schedcpu tick recounts the queued unpinned processes per domain
+    // under ALPS_GUARD; drive every path that changes queue membership —
+    // spawn, preemption, sleep/wake, stop/continue, kill, steal, rebalance
+    // — for pinned and unpinned processes alike.
+    for (const char* policy : {"bsd", "lottery", "stride", "cfs"}) {
+        PercpuMachine m(3, policy);
+        std::vector<Pid> hogs;
+        for (int i = 0; i < 4; ++i) {
+            hogs.push_back(m.kernel.spawn("h" + std::to_string(i), 0,
+                                          std::make_unique<CpuBoundBehavior>(),
+                                          /*nice=*/0, /*home_cpu=*/0, /*pinned=*/i % 2 == 0));
+        }
+        for (int i = 0; i < 4; ++i) {
+            m.kernel.spawn("io" + std::to_string(i), 0,
+                           std::make_unique<PhasedIoBehavior>(msec(3 + i), msec(20)),
+                           /*nice=*/0, /*home_cpu=*/i % 3, /*pinned=*/i % 2 == 1);
+        }
+        m.run_for(sec(2));
+        m.kernel.send_signal(hogs[1], Signal::kStop);
+        m.kernel.send_signal(hogs[2], Signal::kStop);
+        m.run_for(sec(2));
+        m.kernel.send_signal(hogs[1], Signal::kCont);
+        m.kernel.send_signal(hogs[3], Signal::kKill);
+        m.run_for(sec(2));
+        m.kernel.send_signal(hogs[2], Signal::kKill);
+        m.run_for(sec(2));
+        EXPECT_GT(m.kernel.migrations(), 0u) << policy;
+    }
+}
+
 TEST(SmpKernelDeathTest, InvalidCpuIndexAbortsViaGuard) {
     // An out-of-range CPU index is corrupted topology bookkeeping: the
     // accessors hit ALPS_GUARD (fprintf + abort), never index out of bounds
