@@ -9,10 +9,12 @@
 // Expected shape: both enforce ~25/75; cgroups with zero user-level overhead
 // (it *is* the scheduler), ALPS with its sub-1% sampling overhead but no
 // privileges or kernel configuration needed. Skipped (with a message) when
-// cgroups are not writable.
+// cgroups are not writable. ALPS_BENCH_FULL=1 measures 20 s per mechanism
+// instead of 5 s.
+#include <cstdlib>
 #include <iostream>
+#include <string>
 
-#include "../bench/common.h"
 #include "posix/cgroup.h"
 #include "posix/host.h"
 #include "posix/runner.h"
@@ -57,10 +59,10 @@ void sleep_wall(util::Duration wall) {
 }  // namespace
 
 int main() {
-    bench::print_header(
-        "ALPS vs cgroup cpu.shares — real processes, target split 1:3");
-
-    const util::Duration wall = bench::full_scale() ? util::sec(20) : util::sec(5);
+    std::cout << "ALPS vs cgroup cpu.shares — real processes, target split 1:3\n";
+    const char* full = std::getenv("ALPS_BENCH_FULL");
+    const bool full_scale = full != nullptr && std::string(full) == "1";
+    const util::Duration wall = full_scale ? util::sec(20) : util::sec(5);
 
     posix::ChildSet children;
     const pid_t a = children.add_busy();
@@ -111,7 +113,6 @@ int main() {
                util::fmt(alps_split.overhead_pct, 3), "no privileges"});
 
     t.print(std::cout);
-    bench::maybe_write_csv("cgroup_comparison", t);
     std::cout << "\nTarget: 25.0 / 75.0. Both mechanisms should hit it; the "
                  "difference is deployment (kernel facility + privileges vs "
                  "an unprivileged process paying <1% CPU).\n";

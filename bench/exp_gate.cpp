@@ -3,6 +3,7 @@
 // scalability point, web run) is one parallel task; the DESIGN.md shape
 // criteria — several of which combine multiple points — are evaluated over
 // the aggregated report and recorded as gate checks in the JSON.
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <ostream>
@@ -33,6 +34,18 @@ std::string acc_point(ShareModel model, int n) {
 std::string ovh_point(ShareModel model, int q) {
     return "ovh/" + std::string(workload::to_string(model)) + "10_q" +
            std::to_string(q);
+}
+
+// The §2.3 ablation grid: every Table-2 workload at every quantum. The
+// Equal10 @ 10 ms cell keeps the arm names it had when it was the only one.
+constexpr int kAblationN[] = {5, 10, 20};
+constexpr int kAblationQ[] = {10, 20, 40};
+
+std::string ablation_point(ShareModel model, int n, int q, bool lazy) {
+    const std::string arm = lazy ? "lazy" : "eager";
+    if (model == ShareModel::kEqual && n == 10 && q == 10) return "ablation/" + arm;
+    return "ablation/" + std::string(workload::to_string(model)) + std::to_string(n) +
+           "_q" + std::to_string(q) + "/" + arm;
 }
 
 harness::Task sim_task(std::string point,
@@ -100,21 +113,32 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
         }
     }
 
-    // Lazy-measurement ablation (§2.3).
-    for (const bool lazy : {true, false}) {
-        tasks.push_back(sim_task(std::string("ablation/") + (lazy ? "lazy" : "eager"),
-                                 {{"lazy_measurement", lazy ? "1" : "0"}},
-                                 [lazy](bool full) {
-                                     workload::SimRunConfig cfg;
-                                     cfg.shares = workload::make_shares(ShareModel::kEqual, 10);
-                                     cfg.quantum = util::msec(10);
-                                     cfg.measure_cycles = measure_cycles(full);
-                                     cfg.lazy_measurement = lazy;
-                                     return cfg;
-                                 }));
+    // Lazy-measurement ablation (§2.3): both arms of every workload × quantum.
+    for (const ShareModel model : workload::kAllModels) {
+        for (const int n : kAblationN) {
+            for (const int q : kAblationQ) {
+                for (const bool lazy : {true, false}) {
+                    tasks.push_back(sim_task(
+                        ablation_point(model, n, q, lazy),
+                        {{"model", std::string(workload::to_string(model))},
+                         {"n", std::to_string(n)},
+                         {"quantum_ms", std::to_string(q)},
+                         {"lazy_measurement", lazy ? "1" : "0"}},
+                        [model, n, q, lazy](bool full) {
+                            workload::SimRunConfig cfg;
+                            cfg.shares = workload::make_shares(model, n);
+                            cfg.quantum = util::msec(q);
+                            cfg.measure_cycles = measure_cycles(full);
+                            cfg.lazy_measurement = lazy;
+                            return cfg;
+                        }));
+                }
+            }
+        }
     }
 
-    // I/O redistribution (Fig 6): blocked-phase share split computed in-task.
+    // I/O redistribution (Fig 6): the share split of the cycles in which B
+    // is blocked and of those in which it is active, computed in-task.
     {
         harness::Task task;
         task.point = "io/redistribution";
@@ -124,18 +148,27 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
             cfg.steady_cycles = 25;
             cfg.observe_cycles = 50;
             const auto r = workload::run_io_experiment(cfg);
-            util::RunningStats a_blocked, c_blocked;
+            util::RunningStats a_blocked, c_blocked, a_active, b_active, c_active;
             for (std::size_t i = static_cast<std::size_t>(r.io_onset_cycle) + 2;
                  i < r.fractions.size(); ++i) {
-                if (r.fractions[i][1] < 0.08) {
-                    a_blocked.add(r.fractions[i][0]);
-                    c_blocked.add(r.fractions[i][2]);
+                const auto& f = r.fractions[i];
+                if (f[1] < 0.08) {
+                    a_blocked.add(f[0]);
+                    c_blocked.add(f[2]);
+                } else if (f[1] > 0.25) {
+                    a_active.add(f[0]);
+                    b_active.add(f[1]);
+                    c_active.add(f[2]);
                 }
             }
             return harness::Result{}
                 .metric("a_blocked_mean", a_blocked.mean())
                 .metric("c_blocked_mean", c_blocked.mean())
-                .metric("blocked_cycles", static_cast<double>(a_blocked.count()));
+                .metric("blocked_cycles", static_cast<double>(a_blocked.count()))
+                .metric("a_active_mean", a_active.mean())
+                .metric("b_active_mean", b_active.mean())
+                .metric("c_active_mean", c_active.mean())
+                .metric("active_cycles", static_cast<double>(a_active.count()));
         };
         tasks.push_back(std::move(task));
     }
@@ -146,8 +179,15 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
         task.point = "multi/table3";
         task.fn = [](const harness::TaskContext&) {
             const auto r = workload::run_multi_alps_experiment({});
-            return harness::Result{}.metric("mean_relative_error",
-                                            r.mean_relative_error);
+            double worst = 0.0;
+            for (const auto& proc : r.procs) {
+                for (const auto& cell : proc.phases) {
+                    if (cell) worst = std::max(worst, cell->relative_error);
+                }
+            }
+            return harness::Result{}
+                .metric("mean_relative_error", r.mean_relative_error)
+                .metric("max_relative_error", worst);
         };
         tasks.push_back(std::move(task));
     }
@@ -173,21 +213,28 @@ std::vector<harness::Task> make_tasks(const harness::SweepOptions&) {
                                  return cfg;
                              }));
 
-    // Shared web server (§5).
-    {
+    // Shared web server (§5): ALPS with shares 1:2:3, and the kernel alone.
+    for (const bool use_alps : {true, false}) {
         harness::Task task;
-        task.point = "web/shared";
-        task.params = {{"shares", "1:2:3"}, {"quantum_ms", "100"}};
-        task.fn = [](const harness::TaskContext&) {
+        if (use_alps) {
+            task.point = "web/shared";
+            task.params = {{"shares", "1:2:3"}, {"quantum_ms", "100"}};
+        } else {
+            task.point = "web/kernel";
+        }
+        task.fn = [use_alps](const harness::TaskContext&) {
             web::WebExperimentConfig cfg;
             cfg.warmup = util::sec(8);
             cfg.measure = util::sec(30);
-            cfg.use_alps = true;
+            cfg.use_alps = use_alps;
             const auto r = web::run_web_experiment(cfg);
             return harness::Result{}
                 .metric("rps_site0", r.throughput_rps[0])
                 .metric("rps_site1", r.throughput_rps[1])
-                .metric("rps_site2", r.throughput_rps[2]);
+                .metric("rps_site2", r.throughput_rps[2])
+                .metric("response_s_site0", r.mean_response_s[0])
+                .metric("response_s_site1", r.mean_response_s[1])
+                .metric("response_s_site2", r.mean_response_s[2]);
         };
         tasks.push_back(std::move(task));
     }
@@ -242,6 +289,27 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
     const double eager = report.metric_mean("ablation/eager", "overhead");
     check("lazy measurement saves 1.8x-5.9x (§2.3)", "1.8x-5.9x",
           util::fmt(eager / lazy, 2) + "x (Equal10)", eager / lazy > 1.8);
+    {
+        double lo = 1e9;
+        double hi = 0.0;
+        int cells = 0;
+        for (const ShareModel model : workload::kAllModels) {
+            for (const int n : kAblationN) {
+                for (const int q : kAblationQ) {
+                    const double factor =
+                        report.metric_mean(ablation_point(model, n, q, false), "overhead") /
+                        report.metric_mean(ablation_point(model, n, q, true), "overhead");
+                    lo = std::min(lo, factor);
+                    hi = std::max(hi, factor);
+                    ++cells;
+                }
+            }
+        }
+        check("lazy saves >=1.8x on every workload and quantum (§2.3)", "1.8x-5.9x",
+              util::fmt(lo, 2) + "x-" + util::fmt(hi, 2) + "x (" + std::to_string(cells) +
+                  " cells)",
+              lo >= 1.8);
+    }
 
     // --- I/O redistribution (Fig 6) ---
     {
@@ -253,12 +321,27 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
         check("blocked share redistributes 1:3 (Fig 6)", "25% / 75%",
               util::fmt(100 * a_mean, 1) + "% / " + util::fmt(100 * c_mean, 1) + "%",
               ok);
+
+        const double a_act = report.metric_mean("io/redistribution", "a_active_mean");
+        const double b_act = report.metric_mean("io/redistribution", "b_active_mean");
+        const double c_act = report.metric_mean("io/redistribution", "c_active_mean");
+        const double active = report.metric_mean("io/redistribution", "active_cycles");
+        const bool active_ok = active > 5 && std::abs(a_act - 1.0 / 6.0) <= 0.03 &&
+                               std::abs(b_act - 2.0 / 6.0) <= 0.03 &&
+                               std::abs(c_act - 3.0 / 6.0) <= 0.03;
+        check("active B keeps the 1:2:3 split (Fig 6)", "16.7 / 33.3 / 50.0 (±3pp)",
+              util::fmt(100 * a_act, 1) + " / " + util::fmt(100 * b_act, 1) + " / " +
+                  util::fmt(100 * c_act, 1),
+              active_ok);
     }
 
     // --- Multiple ALPSs (Table 3) ---
     const double multi_err = report.metric_mean("multi/table3", "mean_relative_error");
     check("multi-ALPS mean relative error (Table 3)", "0.93%",
           util::fmt(100 * multi_err, 2) + "%", multi_err < 0.03);
+    const double multi_worst = report.metric_mean("multi/table3", "max_relative_error");
+    check("multi-ALPS worst cell (Table 3)", "<=3.3%",
+          util::fmt(100 * multi_worst, 2) + "%", multi_worst <= 0.033);
 
     // --- Scalability thresholds (Figs 8-9 / §4.2) ---
     {
@@ -291,6 +374,28 @@ int evaluate(harness::SweepReport& report, std::ostream& out) {
         check("web throughput divides 1:2:3 (§5)", "18 / 35 / 53",
               util::fmt(r0, 0) + " / " + util::fmt(r1, 0) + " / " + util::fmt(r2, 0),
               ok);
+
+        // Isolation moves queueing delay onto the low-share sites.
+        const double t0 = report.metric_mean("web/shared", "response_s_site0");
+        const double t1 = report.metric_mean("web/shared", "response_s_site1");
+        const double t2 = report.metric_mean("web/shared", "response_s_site2");
+        check("response time ordered by share (§5)", "site1 > site2 > site3",
+              util::fmt(t0, 1) + " / " + util::fmt(t1, 1) + " / " + util::fmt(t2, 1) + " s",
+              t0 > t1 && t1 > t2);
+
+        // The kernel alone splits roughly evenly: the paper's 29-40% per
+        // site, widened by 3 pp.
+        const double k0 = report.metric_mean("web/kernel", "rps_site0");
+        const double k1 = report.metric_mean("web/kernel", "rps_site1");
+        const double k2 = report.metric_mean("web/kernel", "rps_site2");
+        const double k_total = k0 + k1 + k2;
+        bool even = true;
+        for (const double k : {k0, k1, k2}) {
+            even = even && k / k_total >= 0.26 && k / k_total <= 0.43;
+        }
+        check("kernel alone splits roughly evenly (§5)", "29 / 30 / 40",
+              util::fmt(k0, 0) + " / " + util::fmt(k1, 0) + " / " + util::fmt(k2, 0),
+              even);
     }
 
     table.print(out);

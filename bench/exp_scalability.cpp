@@ -24,7 +24,7 @@ std::vector<int> proc_counts(bool full) {
 }
 
 std::string point_name(int n, int q) {
-    return "n" + std::to_string(n) + "/q" + std::to_string(q);
+    return std::string("n").append(std::to_string(n)).append("/q").append(std::to_string(q));
 }
 
 std::vector<harness::Task> make_tasks(const harness::SweepOptions& options) {

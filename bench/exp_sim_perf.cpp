@@ -190,7 +190,7 @@ harness::Result kernel_scan_task(bool full) {
         } else {
             b = std::make_unique<os::CpuBoundBehavior>();
         }
-        pids.push_back(kernel.spawn("p" + std::to_string(i),
+        pids.push_back(kernel.spawn(std::string("p").append(std::to_string(i)),
                                     /*uid=*/100 + i % 7, std::move(b), i % 5));
     }
     for (int i = 0; i < kProcs; i += 16) {

@@ -93,6 +93,22 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
 run_suite build-asan address,undefined "$@"
 
+# --- Release -Werror leg: every target warning-free at full optimization ---
+# Release inlining surfaces warnings (GCC's -Wrestrict on inlined libstdc++
+# string code, for one) that the default RelWithDebInfo tree never shows.
+# Configures build-perf, the Release tree the perf, policy-matrix and chaos
+# legs below run from, with -DALPS_WERROR=ON and builds every target —
+# libraries, tests, the two real-host benches, tools and examples — so a new
+# warning fails CI. -Werror does not change the generated code, so the perf
+# gates below measure the same binaries.
+cmake -B build-perf -S . \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DALPS_SANITIZE=OFF \
+  -DALPS_WERROR=ON \
+  -DALPS_BUILD_BENCH=ON \
+  -DALPS_BUILD_EXAMPLES=ON
+cmake --build build-perf -j "$JOBS"
+
 # --- Release + LTO leg: the engine's tagged/devirtualized event dispatch and
 # the arena's placement-new slabs are exactly the kind of code where
 # link-time optimization licenses new assumptions (strict aliasing across
@@ -131,12 +147,6 @@ fi
 #     ALPS_TRACE_OVERHEAD_TOLERANCE percent (default 5) of the committed
 #     baseline — much tighter than the general ALPS_PERF_TOLERANCE.
 if [[ "${ALPS_PERF_SKIP:-0}" != "1" ]]; then
-  cmake -B build-perf -S . \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DALPS_SANITIZE=OFF \
-    -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
-  cmake --build build-perf -j "$JOBS" --target alps-sweep alps-trace
   build-perf/tools/alps-sweep --experiment sim_perf --jobs 1 --quiet \
     --out build-perf
   python3 - build-perf/BENCH_sim_perf.json BENCH_sim_perf.json \
@@ -200,15 +210,9 @@ fi
 # Runs the policy-matrix suite once per kernel scheduling policy (the same
 # binary; ALPS_KERNEL_POLICY selects the kernel under the workload), plus the
 # policy_zoo sweep itself, whose JSON must be jobs-independent and whose BSD
-# row is the paper-baseline cross-check. Reuses the Release perf tree when it
-# exists; ALPS_POLICY_MATRIX_SKIP=1 skips the leg.
+# row is the paper-baseline cross-check. Runs from the Release tree the
+# -Werror leg built; ALPS_POLICY_MATRIX_SKIP=1 skips the leg.
 if [[ "${ALPS_POLICY_MATRIX_SKIP:-0}" != "1" ]]; then
-  cmake -B build-perf -S . \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DALPS_SANITIZE=OFF \
-    -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
-  cmake --build build-perf -j "$JOBS" --target test_policy_matrix alps-sweep
   build-perf/tools/alps-sweep --list-policies
   for policy in $(build-perf/tools/alps-sweep --list-policies | cut -d' ' -f1); do
     echo "--- policy matrix: $policy"
@@ -237,14 +241,9 @@ fi
 #   5. Narrowed resume: a many_core --ncpus 16 journal resumed with
 #      --ncpus 64 must report the 64-core points, byte-identical to a clean
 #      --ncpus 64 run (narrowed tasks keep their full-grid journal slots).
-# Reuses the Release perf tree; ALPS_CHAOS_SKIP=1 skips the leg.
+# Runs from the Release tree the -Werror leg built; ALPS_CHAOS_SKIP=1 skips
+# the leg.
 if [[ "${ALPS_CHAOS_SKIP:-0}" != "1" ]]; then
-  cmake -B build-perf -S . \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DALPS_SANITIZE=OFF \
-    -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
-  cmake --build build-perf -j "$JOBS" --target alps-sweep
   SWEEP="$(pwd)/build-perf/tools/alps-sweep"
   CHAOS="build-perf/chaos"
   rm -rf "$CHAOS"
@@ -328,4 +327,4 @@ PY
   grep -q "valid policies:" "$CHAOS/policy.stderr"
 fi
 
-echo "check.sh: TSan (+many-core/web/sharded smoke) + ASan/UBSan + LTO builds + ctest + perf/timer-ops/kernel-scan/sharded smoke + trace verify + policy matrix + sharded determinism gate + chaos leg passed"
+echo "check.sh: TSan (+many-core/web/sharded smoke) + ASan/UBSan + Release -Werror + LTO builds + ctest + perf/timer-ops/kernel-scan/sharded smoke + trace verify + policy matrix + sharded determinism gate + chaos leg passed"

@@ -4,13 +4,14 @@
 #
 #   scripts/run_all.sh [--full]
 #
-# --full runs the benches at the paper's full scale (ALPS_BENCH_FULL=1);
+# --full runs every experiment at the paper's full scale (ALPS_BENCH_FULL=1);
 # outputs land in test_output.txt and bench_output.txt at the repo root, plus
 # one BENCH_<name>.json per registry experiment.
 #
 # Registry experiments are enumerated from `alps-sweep --list` (the harness
 # registry), not a hard-coded list, so a newly registered experiment can't be
-# silently skipped. The standalone bench binaries then run directly.
+# silently skipped. Then the two standalone binaries that measure the real
+# host run directly: bench_table1_ops (Table 1) and bench_cgroup_comparison.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,13 +41,11 @@ fi
     "$SWEEP" --experiment "$exp" --out . "${SWEEP_FLAGS[@]}"
   done
 
-  # Standalone benches that are not registry-backed.
-  for b in build/bench/*; do
-    [[ -x "$b" && -f "$b" ]] || continue
-    name=$(basename "$b")
+  # The real-host benches, which no simulation can stand in for.
+  for name in bench_table1_ops bench_cgroup_comparison; do
     echo
     echo "=== standalone bench: $name ==="
-    ALPS_BENCH_FULL=$FULL "$b"
+    ALPS_BENCH_FULL=$FULL "build/bench/$name"
   done
 } 2>&1 | tee bench_output.txt
 

@@ -111,18 +111,6 @@ void Scheduler::forget(EntityId id) {
     entities_.erase(it);
 }
 
-void Scheduler::set_quantum(Duration quantum) {
-    ALPS_EXPECT(quantum > Duration::zero());
-    if (quantum == cfg_.quantum) return;
-    const double scale = static_cast<double>(cfg_.quantum.count()) /
-                         static_cast<double>(quantum.count());
-    for (auto& [id, e] : entities_) {
-        e.allowance *= scale;  // same CPU entitlement, new denomination
-        e.update = count_;     // old postponements are no longer sound
-    }
-    cfg_.quantum = quantum;
-}
-
 void Scheduler::set_share(EntityId id, Share share) {
     ALPS_EXPECT(share > 0);
     auto it = find_entity(id);

@@ -135,8 +135,6 @@ struct CycleRecord {
     std::vector<Duration> consumed;
 };
 
-struct SchedulerSnapshot;
-
 class Scheduler {
 public:
     /// `arena` (optional) backs the entity table with a per-run arena (the
@@ -161,13 +159,6 @@ public:
     /// Extension: changes an entity's share mid-flight. The entity's
     /// remaining allowance is kept; future cycles use the new share.
     void set_share(EntityId id, Share share);
-
-    /// Extension: changes the quantum mid-flight (the accuracy/overhead
-    /// knob, §2.1). Allowances are denominated in quanta, so they are
-    /// rescaled by old/new to keep every entity's remaining CPU entitlement
-    /// — and the Σ a_i·Q == t_c invariant — intact. All measurement
-    /// postponements are reset (they were computed under the old quantum).
-    void set_quantum(Duration quantum);
 
     [[nodiscard]] bool contains(EntityId id) const {
         return find_entity(id) != entities_.end();
@@ -224,9 +215,6 @@ public:
     [[nodiscard]] std::vector<EntityId> ids() const;
 
 private:
-    friend SchedulerSnapshot snapshot(const Scheduler&);
-    friend void restore(Scheduler&, const SchedulerSnapshot&);
-
     struct Entity {
         Share share = 0;
         double allowance = 0.0;         ///< in quanta

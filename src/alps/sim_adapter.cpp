@@ -86,7 +86,6 @@ os::Action AlpsDriverBehavior::next_action(os::ProcContext ctx) {
         awake_ = false;
         epoch_ = ctx.kernel.now();
         next_boundary_ = 1;
-        grid_q_ = q;
         return os::SleepUntilAction{epoch_ + q, this};
     }
     if (!awake_) {
@@ -100,31 +99,6 @@ os::Action AlpsDriverBehavior::next_action(os::ProcContext ctx) {
     const TimePoint now = ctx.kernel.now();
     const auto elapsed = (now - epoch_).count();
     const auto due = elapsed / q.count() + 1;
-    if (q != grid_q_) {
-        // The quantum changed (adaptive control): re-grid without counting
-        // skipped boundaries as misses.
-        grid_q_ = q;
-        next_boundary_ = due - 1;
-    }
-#ifdef ALPS_TRACE_DRIVER
-    if (due - next_boundary_ - 1 > 0) {
-        const os::Proc& self = ctx.kernel.proc(ctx.pid);
-        std::fprintf(stderr,
-                     "[driver late] pid=%d home=%d now=%.3fms boundary=%lld due=%lld\n",
-                     ctx.pid, self.home_cpu, util::to_ms(now.since_epoch),
-                     static_cast<long long>(next_boundary_),
-                     static_cast<long long>(due));
-        for (os::Pid pid : ctx.kernel.live_pids()) {
-            const os::Proc& p = ctx.kernel.proc(pid);
-            if (p.home_cpu != self.home_cpu) continue;
-            std::fprintf(stderr,
-                         "  pid %d %s nice %d estcpu %.1f usrpri %.1f cpu %d %s%s\n",
-                         pid, p.name.c_str(), p.nice, p.estcpu, p.usrpri, p.on_cpu,
-                         std::string(to_string(p.state)).c_str(),
-                         p.stopped ? " stopped" : "");
-        }
-    }
-#endif
     missed_ += static_cast<std::uint64_t>(due - next_boundary_ - 1 > 0
                                               ? due - next_boundary_ - 1
                                               : 0);
@@ -173,51 +147,6 @@ void SimAlps::manage(os::Pid pid, Share share) {
 }
 
 Duration SimAlps::overhead_cpu() const { return kernel_.cpu_time(driver_pid_); }
-
-// ----------------------------------------------------------------------------
-// SimAdaptiveQuantum
-
-SimAdaptiveQuantum::SimAdaptiveQuantum(SimAlps& alps, AdaptiveQuantumConfig cfg,
-                                       Duration window)
-    : alps_(alps), controller_(cfg), window_(window) {
-    ALPS_EXPECT(window > Duration::zero());
-    last_cpu_ = alps_.overhead_cpu();
-    last_eval_ = alps_.kernel().now();
-    // The window timer recurs for the whole run: register it on the engine's
-    // devirtualized dispatch path (registrations are engine-lifetime, and so
-    // is this controller by contract).
-    window_kind_ = alps_.kernel().engine().register_hot(
-        [](void* self, std::uint64_t) {
-            static_cast<SimAdaptiveQuantum*>(self)->on_window();
-        },
-        this);
-    event_ = alps_.kernel().engine().schedule_after(effective_window(), window_kind_, 0);
-}
-
-SimAdaptiveQuantum::~SimAdaptiveQuantum() {
-    if (event_ != 0) alps_.kernel().engine().cancel(event_);
-}
-
-Duration SimAdaptiveQuantum::effective_window() const {
-    // The cycle is ALPS's fairness horizon and its measurement load is very
-    // uneven within one; sampling overhead over less than a cycle produces a
-    // phase-dependent (noisy) signal the controller would chase.
-    return std::max(window_, alps_.scheduler().cycle_length());
-}
-
-void SimAdaptiveQuantum::on_window() {
-    const Duration cpu = alps_.overhead_cpu();
-    const Duration elapsed = alps_.kernel().now() - last_eval_;
-    const Duration old_q = alps_.scheduler().config().quantum;
-    const Duration new_q = controller_.update(old_q, cpu - last_cpu_, elapsed);
-    last_cpu_ = cpu;
-    last_eval_ = alps_.kernel().now();
-    if (new_q != old_q) {
-        alps_.scheduler().set_quantum(new_q);
-        ++adjustments_;
-    }
-    event_ = alps_.kernel().engine().schedule_after(effective_window(), window_kind_, 0);
-}
 
 // ----------------------------------------------------------------------------
 // SimGroupAlps

@@ -13,7 +13,6 @@
 #include <memory>
 #include <string>
 
-#include "alps/adaptive.h"
 #include "alps/cost_model.h"
 #include "alps/fault.h"
 #include "alps/group_control.h"
@@ -72,7 +71,6 @@ private:
     std::function<util::Duration()> pre_tick_;
     util::TimePoint epoch_{};
     std::int64_t next_boundary_ = 1;
-    util::Duration grid_q_{0};  ///< quantum the boundary index refers to
     bool started_ = false;
     bool awake_ = false;
     std::uint64_t ticks_ = 0;
@@ -131,40 +129,6 @@ private:
     std::unique_ptr<Scheduler> scheduler_;
     AlpsDriverBehavior* driver_ = nullptr;  // owned by the kernel's Proc
     os::Pid driver_pid_ = os::kNoPid;
-};
-
-/// Extension: drives an AdaptiveQuantumController from the simulation —
-/// every `window`, reads the ALPS driver's CPU consumption and retunes the
-/// scheduler's quantum toward the configured overhead budget. Keep it alive
-/// (together with its SimAlps) for the duration of the run.
-class SimAdaptiveQuantum {
-public:
-    SimAdaptiveQuantum(SimAlps& alps, AdaptiveQuantumConfig cfg,
-                       util::Duration window = util::sec(2));
-    ~SimAdaptiveQuantum();
-
-    SimAdaptiveQuantum(const SimAdaptiveQuantum&) = delete;
-    SimAdaptiveQuantum& operator=(const SimAdaptiveQuantum&) = delete;
-
-    [[nodiscard]] util::Duration current_quantum() const {
-        return alps_.scheduler().config().quantum;
-    }
-    /// Number of windows in which the quantum actually changed.
-    [[nodiscard]] int adjustments() const { return adjustments_; }
-
-private:
-    void on_window();
-    /// At least one cycle — the signal is too phase-noisy below that.
-    [[nodiscard]] util::Duration effective_window() const;
-
-    SimAlps& alps_;
-    AdaptiveQuantumController controller_;
-    util::Duration window_;
-    util::Duration last_cpu_{0};
-    util::TimePoint last_eval_{};
-    sim::EventId event_ = 0;
-    sim::Engine::HotKind window_kind_ = 0;  ///< devirtualized on_window timer
-    int adjustments_ = 0;
 };
 
 /// The §5 variant: schedules group principals (users) instead of processes,

@@ -188,7 +188,7 @@ void StrideEngine::release_all() noexcept {
 
 /// Sleep to each quantum boundary, run one stride tick, pay its modeled
 /// cost — AlpsDriverBehavior with the allowance loop swapped for the stride
-/// engine (the boundary grid never changes: no set_quantum here).
+/// engine.
 class SimStrideAlps::DriverBehavior final : public os::Behavior {
 public:
     DriverBehavior(StrideEngine& engine, CostModel cost)

@@ -78,7 +78,7 @@ WebScaleResult run_web_scale_experiment(const WebScaleConfig& cfg) {
 
     for (int i = 0; i < cfg.sites; ++i) {
         SiteConfig sc;
-        sc.name = "s" + std::to_string(i);
+        sc.name = std::string("s").append(std::to_string(i));
         sc.uid = 1000 + static_cast<os::Uid>(i);
         sc.site_index = static_cast<std::uint32_t>(i);
         sc.initial_workers = cfg.initial_workers;
@@ -147,7 +147,7 @@ WebScaleResult run_web_scale_experiment(const WebScaleConfig& cfg) {
             kernel, scfg, cfg.cost, cfg.refresh_period, "alps-global", /*uid=*/0,
             /*driver_home_cpu=*/-1, /*driver_pinned=*/false, cfg.driver_nice));
         for (int i = 0; i < cfg.sites; ++i) {
-            alps.back()->manage_user("u" + std::to_string(i),
+            alps.back()->manage_user(std::string("u").append(std::to_string(i)),
                                      1000 + static_cast<os::Uid>(i), share_of(i));
         }
     } else if (cfg.deploy == Deploy::kPerCoreAlps) {
@@ -157,7 +157,7 @@ WebScaleResult run_web_scale_experiment(const WebScaleConfig& cfg) {
                 "alps-c" + std::to_string(c), /*uid=*/0,
                 /*driver_home_cpu=*/c, /*driver_pinned=*/true, cfg.driver_nice));
             for (int i = c; i < cfg.sites; i += cfg.ncpus) {
-                alps.back()->manage_user("u" + std::to_string(i),
+                alps.back()->manage_user(std::string("u").append(std::to_string(i)),
                                          1000 + static_cast<os::Uid>(i), share_of(i));
             }
         }

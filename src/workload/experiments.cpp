@@ -278,7 +278,11 @@ MultiAlpsResult run_multi_alps_experiment(const MultiAlpsConfig& cfg) {
         for (int m = 0; m < 3; ++m) {
             auto& pr = res.procs[static_cast<std::size_t>(3 * g + m)];
             pids[static_cast<std::size_t>(m)] =
-                kernel.spawn("g" + std::to_string(g) + "p" + std::to_string(m), g,
+                kernel.spawn(std::string("g")
+                                 .append(std::to_string(g))
+                                 .append("p")
+                                 .append(std::to_string(m)),
+                             g,
                              std::make_unique<os::CpuBoundBehavior>());
             alps->manage(pids[static_cast<std::size_t>(m)], pr.share);
         }
@@ -485,7 +489,8 @@ ManyCoreResult run_many_core_experiment(const ManyCoreConfig& cfg) {
         Share total = 0;
         for (int j = 0; j < workers; ++j) {
             const os::Pid pid = kernel.spawn(
-                "w" + std::to_string(c) + "_" + std::to_string(j),
+                std::string("w").append(std::to_string(c)).append("_").append(
+                    std::to_string(j)),
                 /*uid=*/100 + static_cast<os::Uid>(c),
                 std::make_unique<os::CpuBoundBehavior>(), /*nice=*/0, home, pin);
             const Share share =

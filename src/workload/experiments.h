@@ -1,7 +1,7 @@
 // Reusable experiment runners for the paper's evaluation (Sections 3-4).
 // Each runner builds a fresh simulated machine, runs one experiment, and
-// returns structured results; the bench harnesses and integration tests call
-// these.
+// returns structured results; the registered sweep experiments (bench/exp_*)
+// and the integration tests call these.
 #pragma once
 
 #include <array>

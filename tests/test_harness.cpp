@@ -162,7 +162,7 @@ Experiment tiny_experiment() {
         for (int point = 0; point < 3; ++point) {
             for (int rep = 0; rep < 4; ++rep) {
                 Task t;
-                t.point = "p" + std::to_string(point);
+                t.point = std::string("p").append(std::to_string(point));
                 t.rep = rep;
                 t.params = {{"point", std::to_string(point)}};
                 t.fn = [point](const TaskContext& ctx) {

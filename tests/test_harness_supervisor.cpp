@@ -313,7 +313,7 @@ Experiment counting_experiment(std::atomic<int>* executions) {
         for (int point = 0; point < 4; ++point) {
             for (int rep = 0; rep < 2; ++rep) {
                 Task t;
-                t.point = "p" + std::to_string(point);
+                t.point = std::string("p").append(std::to_string(point));
                 t.rep = rep;
                 t.params = {{"point", std::to_string(point)}};
                 t.fn = [executions](const TaskContext& ctx) {
@@ -605,7 +605,7 @@ TEST(SupervisorIsolated, NarrowedCrashReproNamesTheGridIndex) {
         std::vector<Task> tasks;
         for (int i = 0; i < 5; ++i) {
             Task t;
-            t.point = "t" + std::to_string(i);
+            t.point = std::string("t").append(std::to_string(i));
             t.params = {{"group", i % 2 == 1 ? "b" : "a"}};
             t.fn = [i](const TaskContext&) {
                 if (i == 3 && attempt_from_env() >= 0) std::abort();

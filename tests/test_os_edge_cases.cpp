@@ -117,7 +117,7 @@ TEST(KernelEdge, ManySimultaneousWakersAllRun) {
     std::vector<Pid> pids;
     for (int i = 0; i < 20; ++i) {
         std::vector<Action> script{BlockAction{chan}, RunAction{msec(10)}};
-        pids.push_back(m.kernel.spawn("w" + std::to_string(i), 0,
+        pids.push_back(m.kernel.spawn(std::string("w").append(std::to_string(i)), 0,
                                       std::make_unique<ScriptedBehavior>(script)));
     }
     m.run_for(msec(5));

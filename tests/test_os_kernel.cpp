@@ -57,7 +57,9 @@ TEST(Kernel, TwoEqualProcessesSplitEvenly) {
 TEST(Kernel, FiveEqualProcessesSplitEvenly) {
     Machine m;
     std::vector<Pid> pids;
-    for (int i = 0; i < 5; ++i) pids.push_back(m.cpu_hog("p" + std::to_string(i)));
+    for (int i = 0; i < 5; ++i) {
+        pids.push_back(m.cpu_hog(std::string("p").append(std::to_string(i))));
+    }
     m.run_for(sec(20));
     for (Pid p : pids) {
         EXPECT_NEAR(to_sec(m.kernel.cpu_time(p)), 4.0, 0.4) << "pid " << p;
@@ -241,7 +243,7 @@ TEST(Kernel, WakeupChannelWakesAllWaiters) {
     std::vector<Pid> pids;
     for (int i = 0; i < 3; ++i) {
         std::vector<Action> script{BlockAction{chan}, RunAction{msec(10)}};
-        pids.push_back(m.kernel.spawn("b" + std::to_string(i), 0,
+        pids.push_back(m.kernel.spawn(std::string("b").append(std::to_string(i)), 0,
                                       std::make_unique<ScriptedBehavior>(script)));
     }
     m.run_for(msec(10));
@@ -323,7 +325,7 @@ TEST(KernelSleepQueue, KilledSleeperIsUnlinked) {
     m.kernel.wakeup_channel(chan);  // queues live before anyone sleeps
     std::vector<Pid> pids;
     for (int i = 0; i < 3; ++i) {
-        pids.push_back(m.kernel.spawn("s" + std::to_string(i), 0,
+        pids.push_back(m.kernel.spawn(std::string("s").append(std::to_string(i)), 0,
                                       block_after(msec(1 + i), chan)));
     }
     m.run_for(msec(50));
@@ -459,7 +461,7 @@ TEST(Kernel, SpawnMidRunGetsScheduled) {
 
 TEST(Kernel, LoadAverageConvergesTowardRunnableCount) {
     Machine m;
-    for (int i = 0; i < 4; ++i) m.cpu_hog("p" + std::to_string(i));
+    for (int i = 0; i < 4; ++i) m.cpu_hog(std::string("p").append(std::to_string(i)));
     m.run_for(sec(120));  // two time constants of the 1-minute EWMA
     EXPECT_GT(m.kernel.loadavg(), 2.5);
     EXPECT_LT(m.kernel.loadavg(), 4.1);
@@ -506,7 +508,9 @@ TEST(Kernel, ZeroLengthSleepScriptProgresses) {
 TEST(Kernel, ManyProcessesConserveTotalCpu) {
     Machine m;
     std::vector<Pid> pids;
-    for (int i = 0; i < 30; ++i) pids.push_back(m.cpu_hog("p" + std::to_string(i)));
+    for (int i = 0; i < 30; ++i) {
+        pids.push_back(m.cpu_hog(std::string("p").append(std::to_string(i))));
+    }
     m.run_for(sec(30));
     Duration total{0};
     for (Pid p : pids) total += m.kernel.cpu_time(p);

@@ -118,7 +118,9 @@ TEST(SmpKernel, DeterministicAcrossRuns) {
     auto run = [] {
         SmpMachine m(3);
         std::vector<Pid> pids;
-        for (int i = 0; i < 7; ++i) pids.push_back(m.hog("p" + std::to_string(i)));
+        for (int i = 0; i < 7; ++i) {
+            pids.push_back(m.hog(std::string("p").append(std::to_string(i))));
+        }
         m.run_for(sec(7));
         std::vector<Duration> out;
         for (const Pid p : pids) out.push_back(m.kernel.cpu_time(p));
@@ -163,7 +165,9 @@ TEST(PercpuKernel, RebalanceSpreadsSkewedLoad) {
     // Six hogs all pinned to CPU 0; steal seeds the idle CPUs and the
     // schedcpu rebalance keeps the queues level afterwards.
     std::vector<Pid> pids;
-    for (int i = 0; i < 6; ++i) pids.push_back(m.hog("p" + std::to_string(i), 0));
+    for (int i = 0; i < 6; ++i) {
+        pids.push_back(m.hog(std::string("p").append(std::to_string(i)), 0));
+    }
     m.run_for(sec(12));
     Duration total{0};
     for (const Pid p : pids) total += m.kernel.cpu_time(p);
@@ -199,7 +203,9 @@ TEST(PercpuKernel, WorkConservingForAllPolicies) {
         PercpuMachine m(2, policy);
         std::vector<Pid> pids;
         // Default placement (round-robin by pid) plus one deliberate skew.
-        for (int i = 0; i < 3; ++i) pids.push_back(m.hog("p" + std::to_string(i)));
+        for (int i = 0; i < 3; ++i) {
+            pids.push_back(m.hog(std::string("p").append(std::to_string(i))));
+        }
         pids.push_back(m.hog("pinned", 0));
         m.run_for(sec(8));
         Duration total{0};
@@ -264,7 +270,7 @@ TEST(PercpuKernel, MigratableCountSurvivesEveryQueueChange) {
         PercpuMachine m(3, policy);
         std::vector<Pid> hogs;
         for (int i = 0; i < 4; ++i) {
-            hogs.push_back(m.kernel.spawn("h" + std::to_string(i), 0,
+            hogs.push_back(m.kernel.spawn(std::string("h").append(std::to_string(i)), 0,
                                           std::make_unique<CpuBoundBehavior>(),
                                           /*nice=*/0, /*home_cpu=*/0, /*pinned=*/i % 2 == 0));
         }

@@ -72,7 +72,7 @@ std::uint64_t schedule_fingerprint(const std::string& policy, int ncpus,
 
     std::vector<Pid> pids;
     auto hog = [&](int nice) {
-        pids.push_back(kernel.spawn("p" + std::to_string(pids.size()),
+        pids.push_back(kernel.spawn(std::string("p").append(std::to_string(pids.size())),
                                     /*uid=*/100,
                                     std::make_unique<CpuBoundBehavior>(), nice));
     };

@@ -39,7 +39,7 @@ TEST_P(KernelStressTest, InvariantsHoldUnderRandomChurn) {
             b = std::make_unique<FiniteCpuBehavior>(
                 rng.uniform_duration(msec(10), msec(500)));
         }
-        pids.push_back(kernel.spawn("p" + std::to_string(pids.size()),
+        pids.push_back(kernel.spawn(std::string("p").append(std::to_string(pids.size())),
                                     static_cast<Uid>(rng.uniform_int(0, 3)),
                                     std::move(b)));
     };

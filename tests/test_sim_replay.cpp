@@ -64,7 +64,7 @@ std::string replay_trace() {
             i == 2 ? std::unique_ptr<os::Behavior>(std::make_unique<os::PhasedIoBehavior>(
                          util::msec(30), util::msec(70), util::msec(120)))
                    : std::unique_ptr<os::Behavior>(std::make_unique<os::CpuBoundBehavior>());
-        const os::Pid pid = kernel.spawn("w" + std::to_string(i), /*uid=*/100,
+        const os::Pid pid = kernel.spawn(std::string("w").append(std::to_string(i)), /*uid=*/100,
                                          std::move(behavior));
         alps.manage(pid, shares[i]);
         pids.push_back(pid);
