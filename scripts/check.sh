@@ -39,55 +39,38 @@ run_suite() { # <build-dir> <sanitize-value> [extra ctest args...]
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 run_suite build-tsan thread "$@"
 
-# --- Many-core TSan smoke: per-CPU run queues under the race detector ---
-# Runs the 64-core column of the many_core sweep (quick scale) in its own
-# ThreadSanitizer tree (the main TSan tree builds with bench OFF): per-CPU
+# --- TSan sweep smokes: three registry experiments under the race detector ---
+# One ThreadSanitizer tree with the sweep CLI (the main TSan tree builds with
+# bench OFF), configured and built once for all three smokes below.
+cmake -B build-tsan-bench -S . \
+  -DALPS_SANITIZE=thread \
+  -DALPS_BUILD_BENCH=ON \
+  -DALPS_BUILD_EXAMPLES=OFF
+cmake --build build-tsan-bench -j "$JOBS" --target alps-sweep
+
+# Many-core: the 64-core column of the many_core sweep (quick scale). Per-CPU
 # domains, steal/rebalance migration, the SoA sampling mirror, and the batched
 # measure() path all execute while the harness pool is genuinely parallel.
-# ALPS_MANY_CORE_SKIP=1 skips the leg.
-if [[ "${ALPS_MANY_CORE_SKIP:-0}" != "1" ]]; then
-  cmake -B build-tsan-bench -S . \
-    -DALPS_SANITIZE=thread \
-    -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
-  cmake --build build-tsan-bench -j "$JOBS" --target alps-sweep
-  build-tsan-bench/tools/alps-sweep --experiment many_core --ncpus 64 \
-    --jobs 4 --quiet --no-json
-fi
+build-tsan-bench/tools/alps-sweep --experiment many_core --ncpus 64 \
+  --jobs 4 --quiet --no-json
 
-# --- web_scale smoke: the hosting sweep survives supervision + TSan ---
-# The cell-scale web_scale grid (open-loop traffic, shared request table,
-# one-global and one-per-core ALPS with pinned drivers) under --isolate:
-# every point runs in a forked worker with a watchdog, exercising the
-# supervisor on the newest experiment while TSan watches the harness pool.
-# ALPS_WEB_SCALE_SKIP=1 skips the leg.
-if [[ "${ALPS_WEB_SCALE_SKIP:-0}" != "1" ]]; then
-  cmake -B build-tsan-bench -S . \
-    -DALPS_SANITIZE=thread \
-    -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
-  cmake --build build-tsan-bench -j "$JOBS" --target alps-sweep
-  build-tsan-bench/tools/alps-sweep --experiment web_scale --sites 96 \
-    --flash-crowd 8 --isolate --run-timeout 300 --jobs 4 --quiet --no-json
-fi
+# web_scale: the hosting sweep survives supervision. The cell-scale grid
+# (open-loop traffic, shared request table, one-global and one-per-core ALPS
+# with pinned drivers) under --isolate: every point runs in a forked worker
+# with a watchdog, exercising the supervisor on the newest experiment while
+# TSan watches the harness pool.
+build-tsan-bench/tools/alps-sweep --experiment web_scale --sites 96 \
+  --flash-crowd 8 --isolate --run-timeout 300 --jobs 4 --quiet --no-json
 
-# --- Sharded-engine TSan leg: lockstep differential replay at 8 shards ---
-# The sharded_run experiment under ThreadSanitizer: every kernel policy runs
-# the 8-group machine at 8 shards, serial-multiplexed and genuinely threaded,
-# and the experiment's evaluate() gate fails unless the consumed checksums are
-# bit-identical — a race in the barrier/channel/handoff protocol surfaces
-# either as a TSan report or as a checksum split between the two modes.
-# (The isolated barrier/SPSC churn tests already ran in build-tsan's ctest.)
-# ALPS_SHARDED_SKIP=1 skips the leg.
-if [[ "${ALPS_SHARDED_SKIP:-0}" != "1" ]]; then
-  cmake -B build-tsan-bench -S . \
-    -DALPS_SANITIZE=thread \
-    -DALPS_BUILD_BENCH=ON \
-    -DALPS_BUILD_EXAMPLES=OFF
-  cmake --build build-tsan-bench -j "$JOBS" --target alps-sweep
-  build-tsan-bench/tools/alps-sweep --experiment sharded_run --shards 8 \
-    --jobs 2 --quiet --no-json
-fi
+# Sharded engine: lockstep differential replay at 8 shards. Every kernel
+# policy runs the 8-group machine at 8 shards, serial-multiplexed and
+# genuinely threaded, and the experiment's evaluate() gate fails unless the
+# consumed checksums are bit-identical — a race in the barrier/channel/handoff
+# protocol surfaces either as a TSan report or as a checksum split between the
+# two modes. (The isolated barrier/SPSC churn tests already ran in
+# build-tsan's ctest.)
+build-tsan-bench/tools/alps-sweep --experiment sharded_run --shards 8 \
+  --jobs 2 --quiet --no-json
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"

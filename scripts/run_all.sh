@@ -20,7 +20,7 @@ if [[ "${1:-}" == "--full" ]]; then
   FULL=1
 fi
 
-cmake -B build -G Ninja
+cmake -B build -S .
 cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt

@@ -74,12 +74,24 @@ void SimProcessHost::pids_of_user(HostUid uid, std::vector<HostPid>& out) {
 // ----------------------------------------------------------------------------
 // AlpsDriverBehavior
 
+AlpsDriverBehavior::AlpsDriverBehavior(Duration quantum, TickFn tick, CostModel cost,
+                                       std::function<Duration()> pre_tick)
+    : quantum_(quantum),
+      tick_(std::move(tick)),
+      cost_(cost),
+      pre_tick_(std::move(pre_tick)) {
+    ALPS_EXPECT(quantum_ > Duration::zero());
+    ALPS_EXPECT(tick_ != nullptr);
+}
+
 AlpsDriverBehavior::AlpsDriverBehavior(Scheduler& scheduler, CostModel cost,
                                        std::function<Duration()> pre_tick)
-    : scheduler_(scheduler), cost_(cost), pre_tick_(std::move(pre_tick)) {}
+    : AlpsDriverBehavior(scheduler.config().quantum,
+                         [&scheduler] { return scheduler.tick(); }, cost,
+                         std::move(pre_tick)) {}
 
 os::Action AlpsDriverBehavior::next_action(os::ProcContext ctx) {
-    const Duration q = scheduler_.config().quantum;
+    const Duration q = quantum_;
     if (!started_) {
         // First boundary: one quantum after spawn.
         started_ = true;
@@ -109,7 +121,7 @@ os::Action AlpsDriverBehavior::next_action(os::ProcContext ctx) {
 Duration AlpsDriverBehavior::lazy_run_duration(os::ProcContext) {
     Duration extra{0};
     if (pre_tick_) extra = pre_tick_();
-    const TickStats stats = scheduler_.tick();
+    const TickStats stats = tick_();
     ++ticks_;
     return cost_.tick_cost(stats) + extra;
 }

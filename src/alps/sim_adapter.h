@@ -48,12 +48,20 @@ private:
     std::vector<os::Kernel::SampleView> batch_view_scratch_;
 };
 
-/// The ALPS process body: sleep to the next quantum boundary, tick, pay the
-/// tick's CPU cost, repeat.
+/// The controller process body: sleep to the next quantum boundary, tick,
+/// pay the tick's CPU cost, repeat. The tick is one decision of any
+/// application-level controller over the same control surface — the ALPS
+/// allowance loop or the stride engine — so every controller is timed and
+/// costed the same way.
 class AlpsDriverBehavior final : public os::Behavior {
 public:
+    using TickFn = std::function<TickStats()>;
+    /// Ticks `tick` every `quantum` and charges its stats through `cost`.
     /// `pre_tick` (optional) runs before each tick — e.g. the §5 once-per-
     /// second membership refresh — and returns extra CPU cost to charge.
+    AlpsDriverBehavior(util::Duration quantum, TickFn tick, CostModel cost,
+                       std::function<util::Duration()> pre_tick = nullptr);
+    /// Drives `scheduler` at its configured quantum.
     AlpsDriverBehavior(Scheduler& scheduler, CostModel cost,
                        std::function<util::Duration()> pre_tick = nullptr);
 
@@ -66,7 +74,8 @@ public:
     [[nodiscard]] std::uint64_t boundaries_missed() const { return missed_; }
 
 private:
-    Scheduler& scheduler_;
+    util::Duration quantum_;
+    TickFn tick_;
     CostModel cost_;
     std::function<util::Duration()> pre_tick_;
     util::TimePoint epoch_{};

@@ -6,13 +6,11 @@
 #include <utility>
 
 #include "alps/host.h"
-#include "alps/sim_adapter.h"
 #include "util/assert.h"
 
 namespace alps::core {
 
 using util::Duration;
-using util::TimePoint;
 
 StrideEngine::StrideEngine(ProcessControl& control, StrideEngineConfig cfg)
     : control_(control), cfg_(cfg) {
@@ -186,61 +184,14 @@ void StrideEngine::release_all() noexcept {
 // ----------------------------------------------------------------------------
 // SimStrideAlps
 
-/// Sleep to each quantum boundary, run one stride tick, pay its modeled
-/// cost — AlpsDriverBehavior with the allowance loop swapped for the stride
-/// engine.
-class SimStrideAlps::DriverBehavior final : public os::Behavior {
-public:
-    DriverBehavior(StrideEngine& engine, CostModel cost)
-        : engine_(engine), cost_(cost) {}
-
-    os::Action next_action(os::ProcContext ctx) override {
-        const Duration q = engine_.config().quantum;
-        if (!started_) {
-            started_ = true;
-            awake_ = false;
-            epoch_ = ctx.kernel.now();
-            next_boundary_ = 1;
-            return os::SleepUntilAction{epoch_ + q, this};
-        }
-        if (!awake_) {
-            awake_ = true;
-            return os::RunAction{.duration = {}, .lazy = true};
-        }
-        awake_ = false;
-        const TimePoint now = ctx.kernel.now();
-        const auto due = (now - epoch_).count() / q.count() + 1;
-        missed_ += static_cast<std::uint64_t>(
-            due - next_boundary_ - 1 > 0 ? due - next_boundary_ - 1 : 0);
-        next_boundary_ = due;
-        return os::SleepUntilAction{epoch_ + Duration{q.count() * due}, this};
-    }
-
-    Duration lazy_run_duration(os::ProcContext) override {
-        return cost_.tick_cost(engine_.tick());
-    }
-
-    [[nodiscard]] std::uint64_t boundaries_missed() const { return missed_; }
-
-private:
-    StrideEngine& engine_;
-    CostModel cost_;
-    TimePoint epoch_{};
-    std::int64_t next_boundary_ = 1;
-    bool started_ = false;
-    bool awake_ = false;
-    std::uint64_t missed_ = 0;
-};
-
 SimStrideAlps::SimStrideAlps(os::Kernel& kernel, StrideEngineConfig cfg,
                              CostModel cost, std::string name, os::Uid uid)
     : kernel_(kernel) {
-    auto host = std::make_unique<SimProcessHost>(kernel_);
-    auto control = std::make_unique<PidProcessControl>(*host);
-    engine_ = std::make_unique<StrideEngine>(*control, cfg);
-    host_ = std::move(host);
-    control_ = std::move(control);
-    auto behavior = std::make_unique<DriverBehavior>(*engine_, cost);
+    host_ = std::make_unique<SimProcessHost>(kernel_);
+    control_ = std::make_unique<PidProcessControl>(*host_);
+    engine_ = std::make_unique<StrideEngine>(*control_, cfg);
+    auto behavior = std::make_unique<AlpsDriverBehavior>(
+        cfg.quantum, [engine = engine_.get()] { return engine->tick(); }, cost);
     driver_ = behavior.get();
     driver_pid_ = kernel_.spawn(std::move(name), uid, std::move(behavior));
 }
@@ -248,15 +199,6 @@ SimStrideAlps::SimStrideAlps(os::Kernel& kernel, StrideEngineConfig cfg,
 SimStrideAlps::~SimStrideAlps() {
     engine_->release_all();
     if (kernel_.alive(driver_pid_)) kernel_.send_signal(driver_pid_, os::Signal::kKill);
-}
-
-void SimStrideAlps::manage(os::Pid pid, Share share) {
-    ALPS_EXPECT(kernel_.alive(pid));
-    engine_->add(static_cast<EntityId>(pid), share);
-}
-
-std::uint64_t SimStrideAlps::boundaries_missed() const {
-    return driver_->boundaries_missed();
 }
 
 Duration SimStrideAlps::overhead_cpu() const { return kernel_.cpu_time(driver_pid_); }

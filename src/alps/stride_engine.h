@@ -12,8 +12,9 @@
 // quantum still paid for it, the analogue of ALPS's §2.4 charge).
 //
 // Costing is identical to ALPS's: each tick is one progress read plus at
-// most one suspend/resume pair, priced through the same Table-1 CostModel,
-// so BENCH_policy_zoo's A/B point compares mechanisms, not implementations.
+// most one suspend/resume pair, priced through the same Table-1 CostModel
+// by the same AlpsDriverBehavior process, so BENCH_policy_zoo's A/B point
+// compares mechanisms, not implementations.
 //
 // Lazy measurement carries over from ALPS §2.3 in stride terms: every tick
 // charges the runner at least one full stride, so the runner provably keeps
@@ -38,6 +39,7 @@
 #include "alps/host.h"
 #include "alps/process_control.h"
 #include "alps/scheduler.h"
+#include "alps/sim_adapter.h"
 #include "os/kernel.h"
 
 namespace alps::core {
@@ -122,8 +124,8 @@ private:
 };
 
 /// One complete stride-engine instance on the simulated kernel: host bridge,
-/// per-pid control, engine, and a driver process that sleeps to each quantum
-/// boundary and pays the tick's modeled cost — the SimAlps counterpart.
+/// per-pid control, engine, and the same AlpsDriverBehavior process that
+/// drives SimAlps, ticking the engine instead of the allowance loop.
 class SimStrideAlps {
 public:
     explicit SimStrideAlps(os::Kernel& kernel, StrideEngineConfig cfg = {},
@@ -134,25 +136,17 @@ public:
     SimStrideAlps(const SimStrideAlps&) = delete;
     SimStrideAlps& operator=(const SimStrideAlps&) = delete;
 
-    /// Puts a process under stride control with the given share.
-    void manage(os::Pid pid, Share share);
-
     [[nodiscard]] StrideEngine& engine() { return *engine_; }
-    [[nodiscard]] const StrideEngine& engine() const { return *engine_; }
-    [[nodiscard]] os::Pid driver_pid() const { return driver_pid_; }
-    /// Quantum boundaries missed while the driver was busy or runnable.
-    [[nodiscard]] std::uint64_t boundaries_missed() const;
+    [[nodiscard]] const AlpsDriverBehavior& driver() const { return *driver_; }
     /// CPU consumed by the driver process (the overhead numerator).
     [[nodiscard]] util::Duration overhead_cpu() const;
 
 private:
-    class DriverBehavior;
-
     os::Kernel& kernel_;
     std::unique_ptr<ProcessHost> host_;
     std::unique_ptr<ProcessControl> control_;
     std::unique_ptr<StrideEngine> engine_;
-    DriverBehavior* driver_ = nullptr;  // owned by the kernel's Proc
+    AlpsDriverBehavior* driver_ = nullptr;  // owned by the kernel's Proc
     os::Pid driver_pid_ = os::kNoPid;
 };
 

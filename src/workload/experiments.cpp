@@ -14,6 +14,7 @@
 #include "sim/engine.h"
 #include "telemetry/metrics.h"
 #include "util/assert.h"
+#include "workload/cpu_workers.h"
 
 namespace alps::workload {
 
@@ -37,9 +38,18 @@ bool run_simulation_until(sim::Engine& engine, TimePoint deadline, DoneFn done) 
 }  // namespace
 
 // ----------------------------------------------------------------------------
-// Figures 4, 5, 8, 9
+// Figures 4, 5, 8, 9 and the stride-engine A/B (BENCH_policy_zoo)
 
-SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
+namespace {
+
+core::Scheduler& controller(core::SimAlps& alps) { return alps.scheduler(); }
+core::StrideEngine& controller(core::SimStrideAlps& alps) { return alps.engine(); }
+
+/// The one CPU-bound run behind both entry points: the same machine,
+/// workload, deadline and exact cycle log around whichever controller stack
+/// `make_alps` spawns on the kernel.
+template <typename MakeAlps>
+SimRunResult run_cpu_bound(const SimRunConfig& cfg, MakeAlps make_alps) {
     ALPS_EXPECT(!cfg.shares.empty());
     ALPS_EXPECT(cfg.measure_cycles > 0);
 
@@ -50,32 +60,19 @@ SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
     kcfg.policy_seed = cfg.policy_seed;
     os::Kernel kernel(engine, nullptr, kcfg);
 
-    core::SchedulerConfig scfg;
-    scfg.quantum = cfg.quantum;
-    scfg.lazy_measurement = cfg.lazy_measurement;
-    scfg.io_accounting = cfg.io_accounting;
-    core::SimAlps alps(kernel, scfg, cfg.cost);
+    auto alps = make_alps(kernel);
+    auto& ctl = controller(alps);
+    const detail::CpuWorkers workers =
+        detail::attach_cpu_workers(kernel, ctl, cfg.shares, {.name_prefix = "worker"});
+    const metrics::ExactCycleLog& log = *workers.log;
 
-    // Per-cycle accuracy instrumentation: read the true (simulated) rusage
-    // at each cycle boundary, as the paper's instrumented ALPS does.
-    metrics::ExactCycleLog log([&kernel](core::EntityId id) {
-        return kernel.cpu_time(static_cast<os::Pid>(id));
-    });
-    alps.scheduler().set_cycle_observer(log.observer());
-
-    for (std::size_t i = 0; i < cfg.shares.size(); ++i) {
-        const os::Pid pid = kernel.spawn("worker" + std::to_string(i), /*uid=*/100,
-                                         std::make_unique<os::CpuBoundBehavior>());
-        alps.manage(pid, cfg.shares[i]);
-    }
-
-    const Duration cycle_len = cfg.quantum * util::total_shares(cfg.shares);
     const auto total_cycles =
         static_cast<std::size_t>(cfg.warmup_cycles + cfg.measure_cycles);
     const Duration max_wall =
         cfg.max_wall > Duration::zero()
             ? cfg.max_wall
-            : cycle_len * static_cast<std::int64_t>(3 * (total_cycles + 10));
+            : detail::default_deadline(cfg.quantum * util::total_shares(cfg.shares),
+                                       total_cycles);
 
     const bool completed = run_simulation_until(
         engine, TimePoint{} + max_wall,
@@ -92,8 +89,8 @@ SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
         static_cast<std::size_t>(cfg.warmup_cycles),
         static_cast<std::size_t>(cfg.measure_cycles));
     res.cycles_completed = log.cycle_count();
-    res.ticks = alps.scheduler().tick_count();
-    res.measurements = alps.scheduler().total_measurements();
+    res.ticks = ctl.tick_count();
+    res.measurements = ctl.total_measurements();
     res.boundaries_missed = alps.driver().boundaries_missed();
     res.fairness = metrics::analyze_fairness(
         log.records(), static_cast<std::size_t>(cfg.warmup_cycles),
@@ -101,77 +98,33 @@ SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
     if (cfg.metrics != nullptr) {
         engine.export_metrics(*cfg.metrics);
         kernel.export_metrics(*cfg.metrics);
-        alps.scheduler().export_metrics(*cfg.metrics);
+        if constexpr (requires { ctl.export_metrics(*cfg.metrics); }) {
+            ctl.export_metrics(*cfg.metrics);
+        }
         metrics::export_fairness(res.fairness, *cfg.metrics);
     }
     return res;
 }
 
-// ----------------------------------------------------------------------------
-// The stride-engine A/B (BENCH_policy_zoo)
+}  // namespace
+
+SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg) {
+    core::SchedulerConfig scfg;
+    scfg.quantum = cfg.quantum;
+    scfg.lazy_measurement = cfg.lazy_measurement;
+    scfg.io_accounting = cfg.io_accounting;
+    return run_cpu_bound(cfg, [&](os::Kernel& kernel) {
+        return core::SimAlps(kernel, scfg, cfg.cost);
+    });
+}
 
 SimRunResult run_stride_engine_experiment(const SimRunConfig& cfg) {
-    ALPS_EXPECT(!cfg.shares.empty());
-    ALPS_EXPECT(cfg.measure_cycles > 0);
-
-    sim::Engine engine;
-    os::KernelConfig kcfg;
-    kcfg.stop_latency_grid = cfg.stop_latency_grid;
-    kcfg.policy = cfg.kernel_policy;
-    kcfg.policy_seed = cfg.policy_seed;
-    os::Kernel kernel(engine, nullptr, kcfg);
-
     core::StrideEngineConfig ecfg;
     ecfg.quantum = cfg.quantum;
     ecfg.lazy_measurement = cfg.lazy_measurement;
-    core::SimStrideAlps alps(kernel, ecfg, cfg.cost);
-
-    metrics::ExactCycleLog log([&kernel](core::EntityId id) {
-        return kernel.cpu_time(static_cast<os::Pid>(id));
+    return run_cpu_bound(cfg, [&](os::Kernel& kernel) {
+        return core::SimStrideAlps(kernel, ecfg, cfg.cost);
     });
-    alps.engine().set_cycle_observer(log.observer());
-
-    for (std::size_t i = 0; i < cfg.shares.size(); ++i) {
-        const os::Pid pid = kernel.spawn("worker" + std::to_string(i), /*uid=*/100,
-                                         std::make_unique<os::CpuBoundBehavior>());
-        alps.manage(pid, cfg.shares[i]);
-    }
-
-    const Duration cycle_len = cfg.quantum * util::total_shares(cfg.shares);
-    const auto total_cycles =
-        static_cast<std::size_t>(cfg.warmup_cycles + cfg.measure_cycles);
-    const Duration max_wall =
-        cfg.max_wall > Duration::zero()
-            ? cfg.max_wall
-            : cycle_len * static_cast<std::int64_t>(3 * (total_cycles + 10));
-
-    const bool completed = run_simulation_until(
-        engine, TimePoint{} + max_wall,
-        [&] { return log.cycle_count() >= total_cycles; });
-
-    SimRunResult res;
-    res.timed_out = !completed;
-    res.wall = engine.now() - TimePoint{};
-    res.alps_cpu = alps.overhead_cpu();
-    res.overhead_fraction =
-        util::to_sec(res.wall) > 0.0 ? util::to_sec(res.alps_cpu) / util::to_sec(res.wall)
-                                     : 0.0;
-    res.mean_rms_error = log.mean_rms_relative_error(
-        static_cast<std::size_t>(cfg.warmup_cycles),
-        static_cast<std::size_t>(cfg.measure_cycles));
-    res.cycles_completed = log.cycle_count();
-    res.ticks = alps.engine().tick_count();
-    res.measurements = alps.engine().total_measurements();
-    res.boundaries_missed = alps.boundaries_missed();
-    res.fairness = metrics::analyze_fairness(
-        log.records(), static_cast<std::size_t>(cfg.warmup_cycles),
-        static_cast<std::size_t>(cfg.measure_cycles));
-    if (cfg.metrics != nullptr) {
-        engine.export_metrics(*cfg.metrics);
-        kernel.export_metrics(*cfg.metrics);
-        metrics::export_fairness(res.fairness, *cfg.metrics);
-    }
-    return res;
 }
 
 // ----------------------------------------------------------------------------
@@ -187,11 +140,7 @@ IoRunResult run_io_experiment(const IoRunConfig& cfg) {
     core::SchedulerConfig scfg;
     scfg.quantum = cfg.quantum;
     core::SimAlps alps(kernel, scfg);
-
-    metrics::ExactCycleLog log([&kernel](core::EntityId id) {
-        return kernel.cpu_time(static_cast<os::Pid>(id));
-    });
-    alps.scheduler().set_cycle_observer(log.observer());
+    const auto log = detail::attach_exact_log(kernel, alps.scheduler());
 
     const Share total = cfg.shares[0] + cfg.shares[1] + cfg.shares[2];
 
@@ -226,9 +175,9 @@ IoRunResult run_io_experiment(const IoRunConfig& cfg) {
     const Duration max_wall = cycle_len * static_cast<std::int64_t>(4 * (target + 10)) +
                               cfg.io_sleep * static_cast<std::int64_t>(target);
     run_simulation_until(engine, TimePoint{} + max_wall,
-                         [&] { return log.cycle_count() >= target; });
+                         [&] { return log->cycle_count() >= target; });
 
-    for (const auto& rec : log.records()) {
+    for (const auto& rec : log->records()) {
         const auto fr = metrics::CycleLog::cycle_fractions(rec);
         std::array<double, 3> f{0.0, 0.0, 0.0};
         for (std::size_t i = 0; i < rec.ids.size(); ++i) {
@@ -365,18 +314,10 @@ FaultRunResult run_fault_experiment(const FaultRunConfig& cfg) {
 
     {
         core::SimAlps alps(kernel, scfg, cfg.cost, "alps", /*uid=*/0, cfg.faults);
-
-        metrics::ExactCycleLog log([&kernel](core::EntityId id) {
-            return kernel.cpu_time(static_cast<os::Pid>(id));
-        });
-        alps.scheduler().set_cycle_observer(log.observer());
-
-        for (std::size_t i = 0; i < cfg.shares.size(); ++i) {
-            const os::Pid pid = kernel.spawn("worker" + std::to_string(i), /*uid=*/100,
-                                             std::make_unique<os::CpuBoundBehavior>());
-            alps.manage(pid, cfg.shares[i]);
-            pids.push_back(pid);
-        }
+        detail::CpuWorkers workers = detail::attach_cpu_workers(
+            kernel, alps.scheduler(), cfg.shares, {.name_prefix = "worker"});
+        const metrics::ExactCycleLog& log = *workers.log;
+        pids = std::move(workers.pids);
 
         const Duration cycle_len = cfg.quantum * util::total_shares(cfg.shares);
         // Generous deadline: faults slow cycles down (quarantined entities
@@ -462,53 +403,42 @@ ManyCoreResult run_many_core_experiment(const ManyCoreConfig& cfg) {
     std::vector<std::unique_ptr<metrics::ExactCycleLog>> logs;
     alps.reserve(static_cast<std::size_t>(instances));
     logs.reserve(static_cast<std::size_t>(instances));
-    const auto reader = [&kernel](core::EntityId id) {
-        return kernel.cpu_time(static_cast<os::Pid>(id));
-    };
 
     // Deploy: per-core mode homes each instance's driver *and* workers on
     // that core's domain (the one-controller-per-CPU deployment), hard-pinned
     // when cfg.pin_workers so steal/rebalance cannot undo the placement;
     // global mode leaves placement to the kernel's round-robin default.
     // Shares cycle 1,2,3 per instance so proportionality is non-trivial.
-    Share shares_per_instance = 0;
+    const auto& custom = cfg.shares_per_instance;
+    const int per_instance =
+        custom.empty() ? cfg.procs_per_cpu : static_cast<int>(custom.size());
+    std::vector<Share> shares(
+        static_cast<std::size_t>(cfg.per_core_alps ? per_instance : cfg.ncpus * per_instance));
+    for (std::size_t j = 0; j < shares.size(); ++j) {
+        shares[j] = custom.empty() ? static_cast<Share>(j % 3 + 1) : custom[j % custom.size()];
+    }
     const bool pin = cfg.per_core_alps && cfg.pin_workers;
     for (int c = 0; c < instances; ++c) {
         const int home = cfg.per_core_alps ? c : -1;
         alps.push_back(std::make_unique<core::SimAlps>(
             kernel, scfg, cfg.cost, "alps" + std::to_string(c), /*uid=*/0,
             core::FaultPlan{}, home, pin));
-        logs.push_back(std::make_unique<metrics::ExactCycleLog>(reader));
-        alps.back()->scheduler().set_cycle_observer(logs.back()->observer());
-        const auto& custom = cfg.shares_per_instance;
-        const int per_instance = custom.empty()
-                                     ? cfg.procs_per_cpu
-                                     : static_cast<int>(custom.size());
-        const int workers =
-            cfg.per_core_alps ? per_instance : cfg.ncpus * per_instance;
-        Share total = 0;
-        for (int j = 0; j < workers; ++j) {
-            const os::Pid pid = kernel.spawn(
-                std::string("w").append(std::to_string(c)).append("_").append(
-                    std::to_string(j)),
-                /*uid=*/100 + static_cast<os::Uid>(c),
-                std::make_unique<os::CpuBoundBehavior>(), /*nice=*/0, home, pin);
-            const Share share =
-                custom.empty() ? j % 3 + 1
-                               : custom[static_cast<std::size_t>(j) % custom.size()];
-            alps.back()->manage(pid, share);
-            total += share;
-        }
-        shares_per_instance = total;
+        logs.push_back(detail::attach_cpu_workers(
+                           kernel, alps.back()->scheduler(), shares,
+                           {.name_prefix = std::string("w").append(std::to_string(c)).append("_"),
+                            .uid = 100 + static_cast<os::Uid>(c),
+                            .home_cpu = home,
+                            .pinned = pin})
+                           .log);
     }
 
     const auto total_cycles =
         static_cast<std::size_t>(cfg.warmup_cycles + cfg.measure_cycles);
-    const Duration cycle_len = cfg.quantum * shares_per_instance;
     const Duration max_wall =
         cfg.max_wall > Duration::zero()
             ? cfg.max_wall
-            : cycle_len * static_cast<std::int64_t>(3 * (total_cycles + 10));
+            : detail::default_deadline(cfg.quantum * util::total_shares(shares),
+                                       total_cycles);
 
     const bool completed =
         run_simulation_until(engine, TimePoint{} + max_wall, [&] {

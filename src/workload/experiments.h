@@ -72,11 +72,13 @@ struct SimRunResult {
 /// accuracy and overhead.
 [[nodiscard]] SimRunResult run_cpu_bound_experiment(const SimRunConfig& cfg);
 
-/// The policy-zoo A/B: same machine, same workload, same measurement, but
-/// the application-level controller is core::StrideEngine (stride
-/// pass/stride replacing the ALPS allowance loop). kernel_policy still
-/// selects the kernel underneath. lazy_measurement/io_accounting are
-/// ignored (the engine has no such options).
+/// The policy-zoo A/B: same machine, workload, driver process and
+/// measurement as run_cpu_bound_experiment, but the application-level
+/// controller is core::StrideEngine (stride pass/stride replacing the ALPS
+/// allowance loop). kernel_policy still selects the kernel underneath;
+/// lazy_measurement selects the engine's own lazy skip window (off = the
+/// stride-engine-eager row); io_accounting is ignored (the engine has no
+/// such option).
 [[nodiscard]] SimRunResult run_stride_engine_experiment(const SimRunConfig& cfg);
 
 // ----------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "os/kernel.h"
 #include "os/shard_link.h"
 #include "util/assert.h"
+#include "workload/cpu_workers.h"
 
 namespace alps::workload {
 
@@ -60,7 +61,8 @@ ShardedRunResult run_sharded_experiment(const ShardedRunConfig& cfg) {
     core::SchedulerConfig acfg;
     acfg.quantum = cfg.quantum;
 
-    Share group_shares = 0;
+    std::vector<Share> shares(static_cast<std::size_t>(cfg.procs_per_group));
+    for (std::size_t j = 0; j < shares.size(); ++j) shares[j] = static_cast<Share>(j % 3 + 1);
     for (unsigned g = 0; g < groups; ++g) {
         os::KernelConfig kcfg;
         kcfg.ncpus = 1;
@@ -74,25 +76,12 @@ ShardedRunResult run_sharded_experiment(const ShardedRunConfig& cfg) {
 
         alps.push_back(std::make_unique<core::SimAlps>(
             kernel, acfg, cfg.cost, "alps" + std::to_string(g), /*uid=*/0));
-        logs.push_back(std::make_unique<metrics::ExactCycleLog>(
-            [&kernel](core::EntityId id) {
-                return kernel.cpu_time(static_cast<os::Pid>(id));
-            }));
-        alps.back()->scheduler().set_cycle_observer(logs.back()->observer());
-
-        Share total = 0;
-        for (int j = 0; j < cfg.procs_per_group; ++j) {
-            const os::Pid pid = kernel.spawn(
-                std::string("w").append(std::to_string(g)).append("_").append(
-                    std::to_string(j)),
-                /*uid=*/100 + static_cast<os::Uid>(g),
-                std::make_unique<os::CpuBoundBehavior>());
-            const Share share = j % 3 + 1;
-            alps.back()->manage(pid, share);
-            workers[g].push_back(pid);
-            total += share;
-        }
-        group_shares = total;
+        detail::CpuWorkers w = detail::attach_cpu_workers(
+            kernel, alps.back()->scheduler(), shares,
+            {.name_prefix = std::string("w").append(std::to_string(g)).append("_"),
+             .uid = 100 + static_cast<os::Uid>(g)});
+        logs.push_back(std::move(w.log));
+        workers[g] = std::move(w.pids);
     }
 
     // --- Cross-shard machinery: the sample board and the nomad. ------------
@@ -151,9 +140,8 @@ ShardedRunResult run_sharded_experiment(const ShardedRunConfig& cfg) {
     // --- Run to the cycle target in cycle-length lockstep chunks. ----------
     const auto total_cycles =
         static_cast<std::size_t>(cfg.warmup_cycles + cfg.measure_cycles);
-    const Duration cycle_len = cfg.quantum * group_shares;
-    const TimePoint max_wall =
-        TimePoint{} + cycle_len * static_cast<std::int64_t>(3 * (total_cycles + 10));
+    const Duration cycle_len = cfg.quantum * util::total_shares(shares);
+    const TimePoint max_wall = TimePoint{} + detail::default_deadline(cycle_len, total_cycles);
     const auto done = [&] {
         return std::all_of(logs.begin(), logs.end(), [&](const auto& log) {
             return log->cycle_count() >= total_cycles;

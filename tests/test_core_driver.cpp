@@ -1,10 +1,12 @@
 // AlpsDriverBehavior timing: boundary bookkeeping under normal and
-// pathological tick costs.
+// pathological tick costs, for both controllers it drives.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "alps/sim_adapter.h"
+#include "alps/stride_engine.h"
 #include "os/behaviors.h"
 #include "os/kernel.h"
 #include "sim/engine.h"
@@ -15,18 +17,55 @@ namespace {
 using util::msec;
 using util::sec;
 
-TEST(AlpsDriver, TicksOncePerQuantum) {
+/// The two controllers AlpsDriverBehavior drives: the ALPS allowance loop
+/// and the stride engine.
+enum class Controller { kAlps, kStride };
+constexpr Controller kControllers[] = {Controller::kAlps, Controller::kStride};
+
+struct DriverCounts {
+    std::uint64_t ticks = 0;
+    std::uint64_t missed = 0;
+};
+
+/// Runs one compute-bound worker (share 1) under `which` at a 10 ms quantum
+/// for `span`, and returns what its driver counted.
+DriverCounts drive_one_worker(Controller which, CostModel cost, util::Duration span) {
     sim::Engine engine;
     os::Kernel kernel(engine);
-    SchedulerConfig cfg;
-    cfg.quantum = msec(10);
-    SimAlps alps(kernel, cfg);
+    std::unique_ptr<SimAlps> alps;
+    std::unique_ptr<SimStrideAlps> stride;
+    const AlpsDriverBehavior* driver = nullptr;
+    if (which == Controller::kAlps) {
+        SchedulerConfig cfg;
+        cfg.quantum = msec(10);
+        alps = std::make_unique<SimAlps>(kernel, cfg, cost);
+        driver = &alps->driver();
+    } else {
+        StrideEngineConfig cfg;
+        cfg.quantum = msec(10);
+        stride = std::make_unique<SimStrideAlps>(kernel, cfg, cost);
+        driver = &stride->driver();
+    }
     const os::Pid w = kernel.spawn("w", 0, std::make_unique<os::CpuBoundBehavior>());
-    alps.manage(w, 1);
-    engine.run_until(engine.now() + sec(2));
-    // ~200 quanta in 2 s; the first fires at t=Q.
-    EXPECT_NEAR(static_cast<double>(alps.driver().ticks_run()), 200.0, 3.0);
-    EXPECT_EQ(alps.driver().boundaries_missed(), 0u);
+    if (alps != nullptr) {
+        alps->manage(w, 1);
+    } else {
+        stride->engine().add(w, 1);
+    }
+    engine.run_until(engine.now() + span);
+    return {driver->ticks_run(), driver->boundaries_missed()};
+}
+
+const char* name_of(Controller c) { return c == Controller::kAlps ? "alps" : "stride"; }
+
+TEST(AlpsDriver, TicksOncePerQuantum) {
+    for (const Controller c : kControllers) {
+        SCOPED_TRACE(name_of(c));
+        const DriverCounts n = drive_one_worker(c, CostModel{}, sec(2));
+        // ~200 quanta in 2 s; the first fires at t=Q.
+        EXPECT_NEAR(static_cast<double>(n.ticks), 200.0, 3.0);
+        EXPECT_EQ(n.missed, 0u);
+    }
 }
 
 TEST(AlpsDriver, PathologicalTickCostSkipsBoundariesInsteadOfBunching) {
@@ -34,30 +73,23 @@ TEST(AlpsDriver, PathologicalTickCostSkipsBoundariesInsteadOfBunching) {
     // only complete a tick every ~3 boundaries. The absolute-deadline logic
     // must skip the missed boundaries (count them) rather than fire a burst
     // of catch-up ticks.
-    sim::Engine engine;
-    os::Kernel kernel(engine);
-    SchedulerConfig cfg;
-    cfg.quantum = msec(10);
     CostModel pathological;
     pathological.timer_event_us = 25000.0;  // 25 ms per tick
-    SimAlps alps(kernel, cfg, pathological);
-    const os::Pid w = kernel.spawn("w", 0, std::make_unique<os::CpuBoundBehavior>());
-    alps.manage(w, 1);
-    engine.run_until(engine.now() + sec(3));
-
-    const auto ticks = alps.driver().ticks_run();
-    const auto missed = alps.driver().boundaries_missed();
-    // Each tick burns 25 ms (plus queueing behind the workload — at this
-    // demand the driver's own priority degrades too), so a tick completes
-    // every ~30+ ms: around 100 ticks in 3 s, never a catch-up burst of 300.
-    EXPECT_GT(ticks, 60u);
-    EXPECT_LT(ticks, 120u);
-    // Most boundaries were skipped, roughly two per completed tick.
-    EXPECT_GT(missed, ticks);
-    // Accounted boundaries can lag the wall total (in-flight sequence,
-    // dispatch delay) but never exceed it.
-    EXPECT_LE(ticks + missed, 300u);
-    EXPECT_GE(ticks + missed, 240u);
+    for (const Controller c : kControllers) {
+        SCOPED_TRACE(name_of(c));
+        const DriverCounts n = drive_one_worker(c, pathological, sec(3));
+        // Each tick burns 25 ms (plus queueing behind the workload — at this
+        // demand the driver's own priority degrades too), so a tick completes
+        // every ~30+ ms: around 100 ticks in 3 s, never a catch-up burst of 300.
+        EXPECT_GT(n.ticks, 60u);
+        EXPECT_LT(n.ticks, 120u);
+        // Most boundaries were skipped, roughly two per completed tick.
+        EXPECT_GT(n.missed, n.ticks);
+        // Accounted boundaries can lag the wall total (in-flight sequence,
+        // dispatch delay) but never exceed it.
+        EXPECT_LE(n.ticks + n.missed, 300u);
+        EXPECT_GE(n.ticks + n.missed, 240u);
+    }
 }
 
 TEST(AlpsDriver, DriverSurvivesEmptyScheduler) {

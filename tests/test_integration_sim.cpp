@@ -86,18 +86,6 @@ TEST(IntegrationOverhead, ShrinksWithLongerQuantum) {
     EXPECT_GT(o10, o40);
 }
 
-TEST(IntegrationOverhead, LazyBeatsEagerByPaperFactor) {
-    SimRunConfig cfg = quick(ShareModel::kEqual, 10, msec(10), 40);
-    cfg.lazy_measurement = true;
-    const double lazy = run_cpu_bound_experiment(cfg).overhead_fraction;
-    cfg.lazy_measurement = false;
-    const double eager = run_cpu_bound_experiment(cfg).overhead_fraction;
-    std::cout << "Equal10@10ms ovh: lazy=" << lazy * 100 << "% eager=" << eager * 100
-              << "% factor=" << eager / lazy << "\n";
-    // §3.2: the optimization cuts overhead by 1.8x-5.9x.
-    EXPECT_GT(eager / lazy, 1.5);
-}
-
 TEST(IntegrationScalability, BreaksDownAtHighProcessCounts) {
     SimRunConfig small;
     small.shares.assign(10, 5);
